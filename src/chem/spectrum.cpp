@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 namespace lbe::chem {
@@ -10,8 +11,13 @@ void Spectrum::finalize() {
   if (mz_.size() <= 1) return;
   std::vector<std::size_t> order(mz_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [this](std::size_t a, std::size_t b) { return mz_[a] < mz_[b]; });
+  // Strictly ascending input is already in the one order the sort could
+  // produce; input with ties still goes through it, since it may swap them.
+  if (std::adjacent_find(mz_.begin(), mz_.end(), std::greater_equal<>()) !=
+      mz_.end()) {
+    std::sort(order.begin(), order.end(),
+              [this](std::size_t a, std::size_t b) { return mz_[a] < mz_[b]; });
+  }
 
   std::vector<Mz> mz_sorted;
   std::vector<float> int_sorted;

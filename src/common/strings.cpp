@@ -33,16 +33,14 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
+std::string_view next_field(std::string_view& rest) {
   std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_space(s[i])) ++i;
-    const std::size_t start = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
-  return out;
+  while (i < rest.size() && is_space(rest[i])) ++i;
+  const std::size_t start = i;
+  while (i < rest.size() && !is_space(rest[i])) ++i;
+  const std::string_view field = rest.substr(start, i - start);
+  rest.remove_prefix(i);
+  return field;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -14,8 +14,10 @@ std::string_view trim(std::string_view s);
 /// Splits on a single character; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char sep);
 
-/// Splits on any amount of ASCII whitespace; empty fields never appear.
-std::vector<std::string_view> split_ws(std::string_view s);
+/// Returns the next field of `rest` delimited by any amount of ASCII
+/// whitespace and drops it (and the whitespace before it) from `rest`.
+/// Returns an empty view once no field is left; never allocates.
+std::string_view next_field(std::string_view& rest);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -87,10 +87,8 @@ LbePlan::VariantLocation LbePlan::locate_variant(
 
 chem::Peptide LbePlan::variant_peptide(GlobalPeptideId global_variant) const {
   const VariantLocation loc = locate_variant(global_variant);
-  auto variants = digest::enumerate_variants(grouping_.sequences[loc.base_id],
-                                             *mods_, variant_params_);
-  LBE_CHECK(loc.ordinal < variants.size(), "variant ordinal out of range");
-  return std::move(variants[loc.ordinal]);
+  return digest::nth_variant(grouping_.sequences[loc.base_id], *mods_,
+                             variant_params_, loc.ordinal);
 }
 
 index::PeptideStore LbePlan::build_rank_store(RankId rank) const {

@@ -76,7 +76,8 @@ class LbePlan {
   VariantLocation locate_variant(GlobalPeptideId global_variant) const;
 
   /// Materializes the peptide for a global variant id (master-side result
-  /// reporting; O(variants of that base) via re-enumeration).
+  /// reporting). Unranks with digest::nth_variant: the enumeration walk
+  /// stops at the variant's ordinal and builds only that one peptide.
   chem::Peptide variant_peptide(GlobalPeptideId global_variant) const;
 
   /// Builds rank `m`'s index entries: every variant of every base assigned

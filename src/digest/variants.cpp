@@ -91,4 +91,26 @@ std::uint64_t count_variants(const std::string& sequence,
   return count;
 }
 
+chem::Peptide nth_variant(const std::string& sequence,
+                          const chem::ModificationSet& mods,
+                          const VariantParams& params, std::uint64_t ordinal) {
+  // Ordinals at or past the cap are never emitted, so they fall through to
+  // the range check exactly like ordinals past the uncapped count.
+  std::vector<chem::ModSite> found;
+  bool hit = false;
+  std::uint64_t seen = 0;
+  enumerate(sequence, mods, params,
+            [&](const std::vector<chem::ModSite>& sites) {
+              if (seen++ < ordinal) {
+                return params.max_variants_per_peptide == 0 ||
+                       seen < params.max_variants_per_peptide;
+              }
+              found = sites;
+              hit = true;
+              return false;
+            });
+  LBE_CHECK(hit, "variant ordinal out of range");
+  return chem::Peptide(sequence, std::move(found), mods);
+}
+
 }  // namespace lbe::digest

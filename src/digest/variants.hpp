@@ -36,4 +36,11 @@ std::uint64_t count_variants(const std::string& sequence,
                              const chem::ModificationSet& mods,
                              const VariantParams& params);
 
+/// The variant at position `ordinal` of enumerate_variants' order, without
+/// materializing the others: walks the same enumeration and stops there.
+/// Throws InvariantError when `ordinal >= count_variants(...)`.
+chem::Peptide nth_variant(const std::string& sequence,
+                          const chem::ModificationSet& mods,
+                          const VariantParams& params, std::uint64_t ordinal);
+
 }  // namespace lbe::digest

@@ -388,7 +388,7 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
         const double count_bound = bound.max_frags * mult_max;
         const double intensity_bound = bound.max_frags * span_intensity_max;
         const double upper =
-            std::lgamma(count_bound + 1.0) + std::log1p(intensity_bound);
+            log_gamma(count_bound + 1.0) + std::log1p(intensity_bound);
         skip = upper + kScoreBoundSlack < score_floor;
       }
       if (skip) {

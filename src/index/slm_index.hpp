@@ -87,13 +87,21 @@ struct BlockBound {
 };
 static_assert(sizeof(BlockBound) == 16, "BlockBound is an on-disk format");
 
+/// ln(Γ(x)) through glibc's reentrant lgamma_r: std::lgamma is the same
+/// routine but also stores the sign in the global `signgam`, a data race
+/// between the threads that score concurrently.
+inline double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// The canonical filtration ranking score: ln(shared!) + ln(1 + matched
 /// intensity). Defined here (not in search/) because block-max pruning must
 /// bound it with the exact same arithmetic the engine ranks with;
 /// search::filter_score delegates to this.
 inline double candidate_filter_score(std::uint32_t shared_peaks,
                                      double matched_intensity) {
-  return std::lgamma(static_cast<double>(shared_peaks) + 1.0) +
+  return log_gamma(static_cast<double>(shared_peaks) + 1.0) +
          std::log1p(matched_intensity);
 }
 

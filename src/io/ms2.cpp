@@ -1,6 +1,7 @@
 #include "io/ms2.hpp"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -24,72 +25,67 @@ double require_double(std::string_view field, const std::string& origin,
   return out;
 }
 
-}  // namespace
+/// Line-at-a-time MS2 state machine. Lines arrive as views into the
+/// reader's buffer, without their '\n'; fields are split off in place.
+class Ms2Parser {
+ public:
+  explicit Ms2Parser(const std::string& origin) : origin_(origin) {}
 
-Ms2File read_ms2(std::istream& in, const std::string& origin) {
-  Ms2File file;
-  std::string line;
-  std::size_t line_no = 0;
-  bool in_scan = false;
+  void line(std::string_view raw, std::size_t line_no) {
+    // CRLF input (e.g. msconvert output from Windows): strip the '\r' up
+    // front so no downstream field ever carries one.
+    if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
+    std::string_view rest = str::trim(raw);
+    if (rest.empty()) return;
 
-  auto finish_current = [&] {
-    if (in_scan) file.spectra.back().finalize();
-  };
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    // CRLF input (e.g. msconvert output from Windows): getline keeps the
-    // '\r'; strip it up front so no downstream field ever carries one.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::string_view view = str::trim(line);
-    if (view.empty()) continue;
-
-    switch (view.front()) {
+    switch (rest.front()) {
       case 'H': {
-        const auto fields = str::split_ws(view);
-        if (fields.size() >= 3) {
-          file.headers[std::string(fields[1])] = std::string(fields[2]);
-        } else if (fields.size() == 2) {
-          file.headers[std::string(fields[1])] = "";
-        }
+        str::next_field(rest);
+        const auto key = str::next_field(rest);
+        const auto value = str::next_field(rest);
+        if (!key.empty()) file_.headers[std::string(key)] = std::string(value);
         break;
       }
       case 'S': {
         finish_current();
-        const auto fields = str::split_ws(view);
-        if (fields.size() < 4) {
-          throw ParseError(origin, line_no,
+        str::next_field(rest);
+        const auto first_scan = str::next_field(rest);
+        str::next_field(rest);
+        const auto precursor_mz = str::next_field(rest);
+        if (precursor_mz.empty()) {
+          throw ParseError(origin_, line_no,
                            "S line needs: S first-scan last-scan precursor-mz");
         }
         chem::Spectrum spec;
         std::uint64_t scan = 0;
-        if (!str::parse_u64(fields[1], scan)) {
-          throw ParseError(origin, line_no, "bad scan number");
+        if (!str::parse_u64(first_scan, scan)) {
+          throw ParseError(origin_, line_no, "bad scan number");
         }
         spec.scan_id = static_cast<std::uint32_t>(scan);
         spec.precursor.mz =
-            require_double(fields[3], origin, line_no, "precursor m/z");
-        file.spectra.push_back(std::move(spec));
-        in_scan = true;
+            require_double(precursor_mz, origin_, line_no, "precursor m/z");
+        file_.spectra.push_back(std::move(spec));
+        in_scan_ = true;
         break;
       }
       case 'Z': {
-        if (!in_scan) {
-          throw ParseError(origin, line_no, "Z line outside of a scan");
+        if (!in_scan_) {
+          throw ParseError(origin_, line_no, "Z line outside of a scan");
         }
-        const auto fields = str::split_ws(view);
-        if (fields.size() < 3) {
-          throw ParseError(origin, line_no, "Z line needs: Z charge mass");
+        str::next_field(rest);
+        const auto charge = str::next_field(rest);
+        const auto mass = str::next_field(rest);
+        if (mass.empty()) {
+          throw ParseError(origin_, line_no, "Z line needs: Z charge mass");
         }
         std::uint64_t z = 0;
-        if (!str::parse_u64(fields[1], z) || z > 255) {
-          throw ParseError(origin, line_no, "bad charge");
+        if (!str::parse_u64(charge, z) || z > 255) {
+          throw ParseError(origin_, line_no, "bad charge");
         }
-        auto& precursor = file.spectra.back().precursor;
+        auto& precursor = file_.spectra.back().precursor;
         precursor.charge = static_cast<Charge>(z);
         // Z stores the singly-protonated mass (M+H)+; convert to neutral.
-        const double mh =
-            require_double(fields[2], origin, line_no, "(M+H)+ mass");
+        const double mh = require_double(mass, origin_, line_no, "(M+H)+ mass");
         precursor.neutral_mass = mh - chem::kProton;
         break;
       }
@@ -97,30 +93,87 @@ Ms2File read_ms2(std::istream& in, const std::string& origin) {
       case 'D':
         break;  // per-scan metadata we do not interpret
       default: {
-        if (!in_scan) {
-          throw ParseError(origin, line_no, "peak line outside of a scan");
+        if (!in_scan_) {
+          throw ParseError(origin_, line_no, "peak line outside of a scan");
         }
-        const auto fields = str::split_ws(view);
-        if (fields.size() < 2) {
-          throw ParseError(origin, line_no, "peak line needs: m/z intensity");
+        const auto mz_field = str::next_field(rest);
+        const auto intensity_field = str::next_field(rest);
+        if (intensity_field.empty()) {
+          throw ParseError(origin_, line_no, "peak line needs: m/z intensity");
         }
-        const double mz = require_double(fields[0], origin, line_no, "m/z");
+        const double mz = require_double(mz_field, origin_, line_no, "m/z");
         const double inten =
-            require_double(fields[1], origin, line_no, "intensity");
+            require_double(intensity_field, origin_, line_no, "intensity");
         if (mz < 0.0 || inten < 0.0) {
-          throw ParseError(origin, line_no, "negative m/z or intensity");
+          throw ParseError(origin_, line_no, "negative m/z or intensity");
         }
-        file.spectra.back().add_peak(mz, static_cast<float>(inten));
+        file_.spectra.back().add_peak(mz, static_cast<float>(inten));
         break;
       }
     }
   }
-  finish_current();
-  return file;
+
+  Ms2File finish() {
+    finish_current();
+    return std::move(file_);
+  }
+
+ private:
+  void finish_current() {
+    if (in_scan_) file_.spectra.back().finalize();
+  }
+
+  const std::string& origin_;
+  Ms2File file_;
+  bool in_scan_ = false;
+};
+
+}  // namespace
+
+// Feeds `in`'s bytes to the parser line by line through one window of
+// kMs2ReadChunk bytes. A partial line is moved to the window's front before
+// each refill; a line longer than the window doubles it, so memory is
+// bounded by the longest line, never by the input size. Line numbering
+// matches std::getline: a last line without '\n' still counts.
+Ms2File read_ms2(std::istream& in, const std::string& origin) {
+  Ms2Parser parser(origin);
+  std::vector<char> window(kMs2ReadChunk);
+  std::size_t begin = 0;  // unconsumed bytes are [begin, end)
+  std::size_t end = 0;
+  std::size_t line_no = 0;
+  bool eof = false;
+  while (true) {
+    const char* first = window.data() + begin;
+    const auto* newline =
+        static_cast<const char*>(std::memchr(first, '\n', end - begin));
+    if (newline != nullptr) {
+      const auto length = static_cast<std::size_t>(newline - first);
+      parser.line(std::string_view(first, length), ++line_no);
+      begin += length + 1;
+      continue;
+    }
+    if (eof) {
+      if (begin < end) {
+        parser.line(std::string_view(first, end - begin), ++line_no);
+      }
+      break;
+    }
+    std::memmove(window.data(), first, end - begin);
+    end -= begin;
+    begin = 0;
+    if (end == window.size()) window.resize(window.size() * 2);
+    in.read(window.data() + end,
+            static_cast<std::streamsize>(window.size() - end));
+    if (in.bad()) throw IoError("MS2 read failed: " + origin);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    eof = got == 0;
+    end += got;
+  }
+  return parser.finish();
 }
 
 Ms2File read_ms2_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open MS2 file: " + path);
   return read_ms2(in, path);
 }

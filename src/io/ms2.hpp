@@ -9,9 +9,13 @@
 //   m/z <space> intensity                    peak lines
 //
 // The reader accepts space or tab separators and arbitrary peak counts; it
-// validates numeric fields and monotonically finalizes each spectrum.
+// validates numeric fields and monotonically finalizes each spectrum. It
+// streams: input is pulled through a fixed window and parsed in place, so
+// the memory it holds besides the parsed spectra does not grow with the
+// file.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -26,7 +30,12 @@ struct Ms2File {
   std::vector<chem::Spectrum> spectra;
 };
 
-/// Parses an MS2 stream; throws ParseError with `origin` context.
+/// Bytes the reader requests per refill of its window. A line longer than
+/// the window grows it to fit that line.
+inline constexpr std::size_t kMs2ReadChunk = std::size_t{1} << 20;
+
+/// Parses an MS2 stream; throws ParseError with `origin` context, IoError
+/// when the stream itself fails.
 Ms2File read_ms2(std::istream& in, const std::string& origin = "<stream>");
 
 /// Opens and parses a file; throws IoError if unreadable.

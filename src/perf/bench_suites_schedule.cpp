@@ -62,36 +62,44 @@ std::vector<std::unique_ptr<index::ChunkedIndex>> preload_indexes(
   return out;
 }
 
-/// Best-of-5 on a fresh virtual cluster with measured time: single-core
-/// timing noise is strictly additive, so the per-rank minimum over repeats
-/// is the clean signal — the makespan gates compare sub-5% deltas, which
-/// one noisy repeat would otherwise dominate.
-ScheduleRun run_schedule(const core::LbePlan& plan,
-                         const std::vector<chem::Spectrum>& queries,
-                         const search::DistributedParams& params,
-                         const std::vector<double>& slowdown) {
-  ScheduleRun out;
-  for (int rep = 0; rep < 5; ++rep) {
-    mpi::ClusterOptions options;
-    options.ranks = plan.ranks();
-    options.engine = mpi::Engine::kVirtual;
-    options.measured_time = true;
-    options.slowdown = slowdown;
-    mpi::Cluster cluster(options);
-    auto report = search::run_distributed_search(cluster, plan, queries,
-                                                 params);
-    const auto seconds = report.query_phase_seconds();
-    if (rep == 0) {
-      out.query_seconds = seconds;
-      out.report = std::move(report);
-    } else {
-      for (std::size_t r = 0; r < seconds.size(); ++r) {
-        out.query_seconds[r] = std::min(out.query_seconds[r], seconds[r]);
+/// Best-of-9 on a fresh virtual cluster with measured time, one run per
+/// entry of `params`: single-core timing noise is strictly additive, so the
+/// per-rank minimum over repeats is the clean signal — the makespan gates
+/// compare sub-5% deltas, which one noisy repeat would otherwise dominate.
+/// The schedules take turns inside every repeat, in alternating order, so a
+/// slow stretch of the host lands on all of them instead of one.
+std::vector<ScheduleRun> run_schedules(
+    const core::LbePlan& plan, const std::vector<chem::Spectrum>& queries,
+    const std::vector<search::DistributedParams>& params,
+    const std::vector<double>& slowdown) {
+  std::vector<ScheduleRun> out(params.size());
+  for (int rep = 0; rep < 9; ++rep) {
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      const std::size_t i = rep % 2 == 0 ? k : params.size() - 1 - k;
+      mpi::ClusterOptions options;
+      options.ranks = plan.ranks();
+      options.engine = mpi::Engine::kVirtual;
+      options.measured_time = true;
+      options.slowdown = slowdown;
+      mpi::Cluster cluster(options);
+      auto report =
+          search::run_distributed_search(cluster, plan, queries, params[i]);
+      const auto seconds = report.query_phase_seconds();
+      ScheduleRun& run = out[i];
+      if (rep == 0) {
+        run.query_seconds = seconds;
+        run.report = std::move(report);
+      } else {
+        for (std::size_t r = 0; r < seconds.size(); ++r) {
+          run.query_seconds[r] = std::min(run.query_seconds[r], seconds[r]);
+        }
       }
     }
   }
-  for (const double t : out.query_seconds) {
-    out.query_wall = std::max(out.query_wall, t);
+  for (ScheduleRun& run : out) {
+    for (const double t : run.query_seconds) {
+      run.query_wall = std::max(run.query_wall, t);
+    }
   }
   return out;
 }
@@ -128,14 +136,15 @@ void schedule_stealing(BenchContext& ctx) {
   static_params.preloaded = &indexes;
   steal_params.preloaded = &indexes;
 
-  const auto static_hetero =
-      run_schedule(plan, workload.queries, static_params, hetero_slowdown());
-  const auto steal_hetero =
-      run_schedule(plan, workload.queries, steal_params, hetero_slowdown());
-  const auto static_homo =
-      run_schedule(plan, workload.queries, static_params, {});
-  const auto steal_homo =
-      run_schedule(plan, workload.queries, steal_params, {});
+  const auto hetero = run_schedules(plan, workload.queries,
+                                    {static_params, steal_params},
+                                    hetero_slowdown());
+  const auto homo = run_schedules(plan, workload.queries,
+                                  {static_params, steal_params}, {});
+  const ScheduleRun& static_hetero = hetero[0];
+  const ScheduleRun& steal_hetero = hetero[1];
+  const ScheduleRun& static_homo = homo[0];
+  const ScheduleRun& steal_homo = homo[1];
 
   const std::uint64_t stolen_hetero = total_stolen(steal_hetero.report);
   const std::uint64_t stolen_homo = total_stolen(steal_homo.report);
@@ -201,8 +210,8 @@ void schedule_calibrated(BenchContext& ctx) {
   auto static_params = schedule_params(core::Schedule::kLbeStatic);
   const auto base_indexes = preload_indexes(plan, static_params);
   static_params.preloaded = &base_indexes;
-  const auto static_run =
-      run_schedule(plan, workload.queries, static_params, hetero_slowdown());
+  const auto static_run = std::move(run_schedules(
+      plan, workload.queries, {static_params}, hetero_slowdown())[0]);
 
   core::CostFeedback feedback;
   feedback.rank_seconds = static_run.query_seconds;
@@ -215,9 +224,8 @@ void schedule_calibrated(BenchContext& ctx) {
   auto calibrated_params = schedule_params(core::Schedule::kCalibrated);
   const auto replanned_indexes = preload_indexes(replanned, calibrated_params);
   calibrated_params.preloaded = &replanned_indexes;
-  const auto calibrated_run = run_schedule(replanned, workload.queries,
-                                           calibrated_params,
-                                           hetero_slowdown());
+  const auto calibrated_run = std::move(run_schedules(
+      replanned, workload.queries, {calibrated_params}, hetero_slowdown())[0]);
 
   fig.row({"static", "query_wall_s", bench::fmt(static_run.query_wall)});
   fig.row({"calibrated", "query_wall_s",

@@ -1,6 +1,6 @@
 #include "search/report.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <ostream>
 
@@ -11,7 +11,10 @@ namespace lbe::search {
 std::vector<ResolvedPsm> resolve_psms(
     const core::LbePlan& plan, const std::vector<GlobalQueryResult>& results,
     const std::vector<bool>& decoy_bases) {
+  std::size_t total = 0;
+  for (const auto& result : results) total += result.top.size();
   std::vector<ResolvedPsm> rows;
+  rows.reserve(total);
   for (const auto& result : results) {
     for (std::size_t rank = 0; rank < result.top.size(); ++rank) {
       const auto& psm = result.top[rank];
@@ -34,20 +37,58 @@ std::vector<ResolvedPsm> resolve_psms(
   return rows;
 }
 
+namespace {
+
+/// Formatted rows are handed to the stream once this many bytes collect.
+constexpr std::size_t kFlushBytes = std::size_t{1} << 20;
+
+template <typename Int>
+void append_int(std::string& buffer, Int value) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  buffer.append(digits, end);
+}
+
+/// printf("%.<precision>f") bytes: to_chars with a precision is specified
+/// to print exactly what printf prints in the "C" locale.
+void append_fixed(std::string& buffer, double value, int precision) {
+  char digits[512];  // room for any finite double in fixed notation
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value,
+                                 std::chars_format::fixed, precision)
+                       .ptr;
+  buffer.append(digits, end);
+}
+
+}  // namespace
+
 void write_psm_rows(std::ostream& out, const std::vector<ResolvedPsm>& rows) {
-  out << "query_id\tpsm_rank\tpeptide\tbase_sequence\tneutral_mass\t"
-         "shared_peaks\tscore\tsource_rank\tis_decoy\n";
-  char buffer[64];
+  std::string buffer =
+      "query_id\tpsm_rank\tpeptide\tbase_sequence\tneutral_mass\t"
+      "shared_peaks\tscore\tsource_rank\tis_decoy\n";
+  buffer.reserve(kFlushBytes + 1024);
   for (const auto& row : rows) {
-    out << row.query_id << '\t' << row.psm_rank << '\t' << row.peptide
-        << '\t' << row.base_sequence << '\t';
-    std::snprintf(buffer, sizeof(buffer), "%.5f", row.neutral_mass);
-    out << buffer << '\t' << row.shared_peaks << '\t';
-    std::snprintf(buffer, sizeof(buffer), "%.4f",
-                  static_cast<double>(row.score));
-    out << buffer << '\t' << row.source_rank << '\t' << (row.is_decoy ? 1 : 0)
-        << '\n';
+    append_int(buffer, row.query_id);
+    buffer += '\t';
+    append_int(buffer, row.psm_rank);
+    buffer += '\t';
+    buffer += row.peptide;
+    buffer += '\t';
+    buffer += row.base_sequence;
+    buffer += '\t';
+    append_fixed(buffer, row.neutral_mass, 5);
+    buffer += '\t';
+    append_int(buffer, row.shared_peaks);
+    buffer += '\t';
+    append_fixed(buffer, static_cast<double>(row.score), 4);
+    buffer += '\t';
+    append_int(buffer, row.source_rank);
+    buffer += row.is_decoy ? "\t1\n" : "\t0\n";
+    if (buffer.size() >= kFlushBytes) {
+      out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+      buffer.clear();
+    }
   }
+  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
 }
 
 void write_psm_rows_file(const std::string& path,

@@ -2,10 +2,12 @@
 
 #include <cmath>
 
+#include "index/slm_index.hpp"
+
 namespace lbe::search {
 
 double log_factorial(std::uint32_t n) {
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  return index::log_gamma(static_cast<double>(n) + 1.0);
 }
 
 ScoreBreakdown score_candidate(const chem::Spectrum& query,

@@ -41,7 +41,7 @@ ScoreBreakdown score_candidate(const chem::Spectrum& query,
                                const chem::ModificationSet& mods,
                                const ScoreParams& params);
 
-/// ln(n!) via lgamma; exposed for tests.
+/// ln(n!) via the thread-safe index::log_gamma; exposed for tests.
 double log_factorial(std::uint32_t n);
 
 }  // namespace lbe::search

@@ -36,10 +36,11 @@ void Server::stop() {
   if (!running_.exchange(false)) return;
   paused_.store(false);
   queue_cv_.notify_all();
-  // Closing the listener makes the accept thread's poll() see POLLNVAL and
-  // exit; closing connection fds unblocks handler threads stuck in read().
-  listener_.reset();
+  // The accept thread re-checks running_ at least every 100 ms (its poll
+  // timeout), so join it before closing the listener it reads; shutting
+  // connection fds down then unblocks handler threads stuck in read().
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.reset();
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     for (auto& conn : connections_) {

@@ -36,6 +36,27 @@ TEST(Spectrum, FinalizeMergesDuplicateMz) {
   EXPECT_FLOAT_EQ(s.intensity(0), 7.0f);
 }
 
+TEST(Spectrum, FinalizeMergesNearPeaksOfAscendingInput) {
+  // Ascending input skips the sort but must still merge peaks closer than
+  // the 1e-6 Th merge tolerance.
+  Spectrum s;
+  s.add_peak(100.0, 1.0f);
+  s.add_peak(100.0 + 5e-7, 2.0f);
+  s.add_peak(150.0, 4.0f);
+  s.finalize();
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_DOUBLE_EQ(s.mz(0), 100.0);
+  EXPECT_FLOAT_EQ(s.intensity(0), 3.0f);
+  EXPECT_DOUBLE_EQ(s.mz(1), 150.0);
+
+  Spectrum settled;
+  settled.add_peak(100.0, 1.0f);
+  settled.add_peak(100.001, 2.0f);
+  settled.finalize();
+  ASSERT_EQ(settled.size(), 2u);
+  EXPECT_FLOAT_EQ(settled.intensity(1), 2.0f);
+}
+
 TEST(Spectrum, FinalizeIdempotent) {
   Spectrum s;
   s.add_peak(100.0, 1.0f);

@@ -39,17 +39,31 @@ TEST(Split, SingleFieldWithoutSeparator) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(SplitWs, CollapsesRuns) {
-  const auto parts = split_ws("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
+TEST(NextField, ConsumesOneFieldAtATime) {
+  std::string_view rest = " \tab  c\r\n";
+  EXPECT_EQ(next_field(rest), "ab");
+  EXPECT_EQ(rest, "  c\r\n");
+  EXPECT_EQ(next_field(rest), "c");
+  EXPECT_EQ(rest, "\r\n");
+  EXPECT_EQ(next_field(rest), "");
+  EXPECT_TRUE(rest.empty());
+  EXPECT_EQ(next_field(rest), "");
 }
 
-TEST(SplitWs, EmptyInputYieldsNoFields) {
-  EXPECT_TRUE(split_ws("").empty());
-  EXPECT_TRUE(split_ws("   ").empty());
+TEST(NextField, CollapsesWhitespaceRuns) {
+  std::string_view rest = "  a \t b\n c  ";
+  EXPECT_EQ(next_field(rest), "a");
+  EXPECT_EQ(next_field(rest), "b");
+  EXPECT_EQ(next_field(rest), "c");
+  EXPECT_EQ(next_field(rest), "");
+}
+
+TEST(NextField, EmptyInputYieldsNoFields) {
+  std::string_view empty;
+  EXPECT_EQ(next_field(empty), "");
+  std::string_view blank = "   ";
+  EXPECT_EQ(next_field(blank), "");
+  EXPECT_TRUE(blank.empty());
 }
 
 TEST(StartsWith, Basics) {

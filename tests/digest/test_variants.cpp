@@ -5,6 +5,7 @@
 #include <set>
 
 #include "chem/modification.hpp"
+#include "common/error.hpp"
 
 namespace lbe::digest {
 namespace {
@@ -107,6 +108,67 @@ TEST_F(VariantsTest, PaperCapOfFiveModifiedResidues) {
   paper.max_mod_residues = 5;
   // 6 eligible sites, max 5 modified: 2^6 - 1 (the all-six subset) = 63.
   EXPECT_EQ(count_variants("NNMMKC", mods_, paper), 63u);
+}
+
+// nth_variant is the unranking twin of enumerate_variants: for every
+// ordinal it must build exactly the peptide the full enumeration puts
+// there, and the first ordinal past the end must throw.
+void expect_unranks_like_enumeration(const std::string& sequence,
+                                     const chem::ModificationSet& mods,
+                                     const VariantParams& params) {
+  const auto all = enumerate_variants(sequence, mods, params);
+  ASSERT_EQ(all.size(), count_variants(sequence, mods, params)) << sequence;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(nth_variant(sequence, mods, params, i), all[i])
+        << sequence << " ordinal " << i;
+  }
+  EXPECT_THROW(nth_variant(sequence, mods, params, all.size()),
+               InvariantError)
+      << sequence;
+}
+
+TEST_F(VariantsTest, NthVariantMatchesEnumerationAtEveryOrdinal) {
+  const std::vector<std::string> sequences = {
+      "GGAVL", "NMK", "NNMMKK", "NQMKCNQMKC", "MMMMMMMM", "KCNQMSTYKCNQ",
+  };
+  VariantParams capped = params_;
+  capped.max_variants_per_peptide = 17;
+  VariantParams targets_only = params_;
+  targets_only.include_unmodified = false;
+  VariantParams none = params_;
+  none.max_mod_residues = 0;
+  VariantParams single = params_;
+  single.max_mod_residues = 1;
+  VariantParams paper = params_;
+  paper.max_mod_residues = 5;
+  VariantParams capped_targets_only = targets_only;
+  capped_targets_only.max_variants_per_peptide = 3;
+  // Two variable mods on K, so some sites offer a choice of modification.
+  chem::ModificationSet dense = chem::ModificationSet::paper_default();
+  dense.add({"Methyl", 14.01565006, "KR", false});
+  dense.add({"Phospho", 79.96633052, "STY", false});
+  for (const chem::ModificationSet* mods : {&mods_, &dense}) {
+    for (const VariantParams& params :
+         {params_, capped, targets_only, none, single, paper,
+          capped_targets_only}) {
+      for (const auto& sequence : sequences) {
+        expect_unranks_like_enumeration(sequence, *mods, params);
+      }
+    }
+  }
+}
+
+TEST_F(VariantsTest, NthVariantRejectsOrdinalsPastTheCap) {
+  VariantParams capped = params_;
+  capped.max_variants_per_peptide = 5;
+  // "NNMMKK" has 63 uncapped variants; the cap makes ordinal 5 the end.
+  EXPECT_NO_THROW(nth_variant("NNMMKK", mods_, params_, 5));
+  EXPECT_THROW(nth_variant("NNMMKK", mods_, capped, 5), InvariantError);
+  // No variants at all: nothing to unrank.
+  VariantParams empty = params_;
+  empty.include_unmodified = false;
+  EXPECT_EQ(count_variants("GGAVL", mods_, empty), 0u);
+  EXPECT_THROW(nth_variant("GGAVL", mods_, empty, 0), InvariantError);
 }
 
 TEST_F(VariantsTest, MassesReflectPlacedMods) {
