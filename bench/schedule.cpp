@@ -1,5 +1,5 @@
 // Scheduling driver — runs the "schedule" suite (static vs stealing makespan
-// on the heterogeneous fixture, plus the probe-calibrated re-plan). The
+// on the heterogeneous and balanced fixtures). The
 // benchmark bodies live in src/perf/bench_suites_schedule.cpp; `lbebench
 // --suite schedule` runs the same set and additionally writes
 // BENCH_schedule.json and gates against the checked-in baseline.

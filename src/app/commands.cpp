@@ -152,14 +152,9 @@ int run_search(const AppOptions& opts) {
   if (opts.search.schedule.schedule != core::Schedule::kLbeStatic) {
     std::uint64_t stolen = 0;
     for (const auto count : outcome.report.batches_stolen) stolen += count;
-    std::printf("schedule %s: %llu batches stolen",
+    std::printf("schedule %s: %llu batches stolen\n",
                 core::schedule_name(opts.search.schedule.schedule),
                 static_cast<unsigned long long>(stolen));
-    if (!outcome.calibration_weights.empty()) {
-      std::printf(", re-planned from a %.0f ms probe",
-                  outcome.calibration_seconds * 1e3);
-    }
-    std::printf("\n");
   }
 
   if (opts.write_report) {

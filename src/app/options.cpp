@@ -35,7 +35,7 @@ constexpr std::array<std::string_view, 51> kKnownKeys = {
     "threads",     "batch",         "backend",
     "report",      "verify",        "socket",
     "queue_depth", "workers",       "shutdown",
-    "schedule",    "steal_threshold", "calibration_queries",
+    "schedule",    "steal_threshold",
 };
 
 bool known_key(std::string_view key) {
@@ -220,8 +220,6 @@ AppOptions options_from_config(const Config& config) {
       core::schedule_from_string(config.get_string("schedule", "lbe_static"));
   opts.search.schedule.steal_threshold =
       config.get_double("steal_threshold", 1.2);
-  opts.search.schedule.calibration_queries =
-      get_u32(config, "calibration_queries", 16);
 
   opts.write_report = config.get_bool("report", true);
   opts.verify_baseline = config.get_bool("verify", false);
@@ -354,17 +352,16 @@ Open-search options:
                        an unannounced PTM-like mass shift   (default 0)
 
 Scheduling options (search):
-  --schedule NAME      lbe_static|calibrated|stealing      (default lbe_static)
-                       lbe_static: the paper's fixed placement. calibrated:
-                       probe a few queries, refit the cost model to observed
-                       per-rank speeds, re-partition with matching weights.
-                       stealing: static placement plus runtime rebalancing —
-                       idle ranks claim query batches from the most-loaded
-                       rank's unstarted tail; psms.tsv stays byte-identical
-                       to lbe_static on every backend (CI proves it)
+  --schedule NAME      lbe_static|stealing                 (default lbe_static)
+                       Both run one protocol: each rank searches its own
+                       batch queue, then asks the master for more work.
+                       lbe_static: the paper's fixed placement; the master
+                       answers `done`. stealing: idle ranks claim query
+                       batches from the most-loaded rank's unstarted tail;
+                       psms.tsv stays byte-identical to lbe_static on every
+                       backend (CI proves it)
   --steal_threshold F  steal only from a rank whose backlog is at least F x
                        the mean remaining load                (default 1.2)
-  --calibration_queries N  probe size for --schedule calibrated (default 16)
 
 Serving options:
   --socket PATH        serve/query: Unix-domain socket path (required)

@@ -15,7 +15,6 @@
 #include "digest/digestor.hpp"
 #include "digest/enzyme.hpp"
 #include "app/rank_programs.hpp"
-#include "core/scheduling.hpp"
 #include "index/posting_codec.hpp"
 #include "io/fasta.hpp"
 #include "io/ms2.hpp"
@@ -417,69 +416,6 @@ std::string stage_process_bundle(const core::LbePlan& plan,
   return dir;
 }
 
-/// `--schedule calibrated`: run a short *static* probe over the first few
-/// queries on an in-process backend, refit the Eq. 1 cost model to the
-/// observed per-rank speeds (core::calibration_weights), and re-partition
-/// the plan with matching weights. Returns a null plan — keeping the static
-/// placement — when the probe is degenerate (a rank with no time or no
-/// work, e.g. on an unmetered clock) or the fleet is trivial.
-struct CalibrationOutcome {
-  std::unique_ptr<core::LbePlan> plan;
-  std::vector<double> weights;
-  double probe_seconds = 0.0;
-};
-
-CalibrationOutcome calibrate_plan(const core::LbePlan& plan,
-                                  const QueryBundle& queries,
-                                  const AppOptions& opts,
-                                  const index::IndexBundle* warm) {
-  CalibrationOutcome out;
-  const auto probe_n = std::min<std::size_t>(
-      opts.search.schedule.calibration_queries, queries.spectra.size());
-  if (probe_n == 0 || plan.ranks() < 2) return out;
-
-  Stopwatch timer;
-  const std::vector<chem::Spectrum> probe_queries(
-      queries.spectra.begin(),
-      queries.spectra.begin() + static_cast<std::ptrdiff_t>(probe_n));
-  search::DistributedParams params = opts.search;
-  params.schedule = core::ScheduleParams{};  // the probe itself runs static
-  params.prep_seconds = 0.0;
-  if (warm != nullptr) params.preloaded = &warm->per_rank;
-
-  mpi::ClusterOptions cluster_options;
-  cluster_options.ranks = plan.ranks();
-  // Probe on the matching in-process engine. The process backend probes via
-  // kThreads: forking a fleet to time a handful of queries would cost more
-  // than it measures, and real thread timing is what its workers see too.
-  cluster_options.engine = opts.backend == "virtual" ? mpi::Engine::kVirtual
-                                                     : mpi::Engine::kThreads;
-  mpi::Cluster cluster(cluster_options);
-  const search::DistributedReport probe =
-      search::run_distributed_search(cluster, plan, probe_queries, params);
-
-  core::CostFeedback feedback;
-  feedback.rank_seconds = probe.query_phase_seconds();
-  feedback.rank_cost_units.reserve(probe.work.size());
-  for (const auto& work : probe.work) {
-    feedback.rank_cost_units.push_back(
-        static_cast<double>(work.cost_units()));
-  }
-  out.weights = core::calibration_weights(feedback);
-  if (out.weights.empty()) {
-    log::warn("calibration probe was degenerate (a rank observed no time or "
-              "no work); keeping the static placement");
-    out.probe_seconds = timer.seconds();
-    return out;
-  }
-  const auto policy = core::make_policy(core::Schedule::kCalibrated);
-  const core::PartitionParams fitted =
-      policy->plan_params(plan.params().partition, feedback);
-  out.plan = std::make_unique<core::LbePlan>(plan, fitted);
-  out.probe_seconds = timer.seconds();
-  return out;
-}
-
 }  // namespace
 
 SearchOutcome run_search_pipeline(const PlanBundle& plan,
@@ -489,31 +425,7 @@ SearchOutcome run_search_pipeline(const PlanBundle& plan,
   search::DistributedParams params = opts.search;
   params.prep_seconds = plan.prep_seconds;
 
-  // `--schedule calibrated`: probe, refit, re-partition. The re-planned
-  // LbePlan shares the original's grouping and global variant id space, so
-  // decoy labels and locate_variant stay valid; only placement (and the
-  // mapping table) changes.
   const core::LbePlan* lbe = plan.plan.get();
-  SearchOutcome outcome;
-  std::unique_ptr<core::LbePlan> replanned;
-  if (opts.search.schedule.schedule == core::Schedule::kCalibrated) {
-    CalibrationOutcome calibration =
-        calibrate_plan(*plan.plan, queries, opts, warm);
-    outcome.calibration_weights = std::move(calibration.weights);
-    outcome.calibration_seconds = calibration.probe_seconds;
-    // The probe is serial master work before the fleet starts — charge it
-    // like the plan-construction prep it is.
-    params.prep_seconds += calibration.probe_seconds;
-    if (calibration.plan != nullptr) {
-      replanned = std::move(calibration.plan);
-      lbe = replanned.get();
-      if (warm != nullptr && !(warm->mapping == lbe->mapping())) {
-        log::warn("calibrated re-plan changed the rank assignment; the warm "
-                  "index bundle no longer matches and will be ignored");
-        warm = nullptr;
-      }
-    }
-  }
   if (warm != nullptr) params.preloaded = &warm->per_rank;
 
   std::unique_ptr<mpi::Transport> transport;
@@ -569,6 +481,7 @@ SearchOutcome run_search_pipeline(const PlanBundle& plan,
     transport = std::make_unique<mpi::Cluster>(cluster_options);
   }
 
+  SearchOutcome outcome;
   outcome.report = search::run_distributed_search(*transport, *lbe,
                                                   queries.spectra, params);
   outcome.comm = transport->reports();

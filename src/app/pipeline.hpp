@@ -109,11 +109,6 @@ struct SearchOutcome {
   std::size_t queries_with_results = 0;
   perf::LoadStats time_stats;  ///< Eq. 1 over query-phase seconds
   perf::LoadStats work_stats;  ///< Eq. 1 over deterministic work units
-  /// `--schedule calibrated`: per-rank speed weights the re-plan used
-  /// (empty = probe skipped or degenerate, static placement kept) and the
-  /// probe's wall time (charged to the run's prep phase).
-  std::vector<double> calibration_weights;
-  double calibration_seconds = 0.0;
 };
 
 /// Builds the full warm-start artifact for `prepare --index_out`: every

@@ -46,12 +46,7 @@ void search_rank_program(mpi::Comm& comm, const mpi::Bytes& setup_payload) {
   config.search = setup.search;
   config.result_batch = setup.result_batch;
   config.threads_per_rank = setup.threads_per_rank;
-  // Same pure function of (schedule, ranks, queries) the master evaluates —
-  // both sides of the socket must agree on whether steal messages flow.
-  config.stealing = search::steal_protocol_active(
-      setup.schedule, comm.size(), setup.queries.size());
-  config.cost_model =
-      setup.schedule.schedule != core::Schedule::kLbeStatic;
+  config.cost_model = setup.schedule.schedule == core::Schedule::kStealing;
 
   // mmap this rank's file from the shared bundle: co-located ranks mapping
   // the same read-only files share one physical page-cache copy, so the

@@ -67,8 +67,15 @@ class ModificationSet {
 struct ModSite {
   std::uint16_t position;  ///< 0-based residue offset
   ModId mod;
+  /// Explicit zero padding: peptide stores write ModSite arrays raw, so this
+  /// byte reaches disk and the section CRC and must be deterministic. Not
+  /// part of a site's identity — readers ignore it.
+  std::uint8_t reserved = 0;
 
-  friend bool operator==(const ModSite&, const ModSite&) = default;
+  friend bool operator==(const ModSite& a, const ModSite& b) {
+    return a.position == b.position && a.mod == b.mod;
+  }
 };
+static_assert(sizeof(ModSite) == 4, "ModSite is written raw: keep 4 bytes");
 
 }  // namespace lbe::chem

@@ -32,19 +32,6 @@ LbePlan::LbePlan(std::vector<std::string> base_peptides,
   apply_partition();
 }
 
-LbePlan::LbePlan(const LbePlan& other, const PartitionParams& partition)
-    : mods_(other.mods_),
-      variant_params_(other.variant_params_),
-      params_(other.params_),
-      grouping_(other.grouping_),
-      variant_offsets_(other.variant_offsets_),
-      total_variants_(other.total_variants_) {
-  // Grouping and the global variant id space are placement-independent, so
-  // only the partition (and the mapping derived from it) is recomputed.
-  params_.partition = partition;
-  apply_partition();
-}
-
 void LbePlan::apply_partition() {
   base_plan_ = partition(grouping_.group_sizes, params_.partition);
   // The partition-invariant oracle (core/scheduling.hpp): every base placed

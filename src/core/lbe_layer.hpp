@@ -40,14 +40,6 @@ class LbePlan {
           const digest::VariantParams& variant_params,
           const LbeParams& params);
 
-  /// Re-partitions an existing plan under new partition parameters — the
-  /// calibrated schedule's re-plan step. Grouping, variant enumeration and
-  /// global variant ids are copied unchanged (they depend only on grouping,
-  /// not placement), so locate_variant/variant_peptide and any decoy labels
-  /// derived from the original plan stay valid; only the per-rank base
-  /// assignment and the mapping table are recomputed.
-  LbePlan(const LbePlan& other, const PartitionParams& partition);
-
   const GroupingResult& grouping() const noexcept { return grouping_; }
   const PartitionPlan& base_partition() const noexcept { return base_plan_; }
   const index::MappingTable& mapping() const noexcept { return mapping_; }
@@ -89,8 +81,8 @@ class LbePlan {
   index::PeptideStore build_global_store() const;
 
  private:
-  /// Partition + oracle + mapping-table rebuild over the (already set)
-  /// grouping and variant offsets; shared by both constructors.
+  /// Partition + oracle + mapping-table build over the (already set)
+  /// grouping and variant offsets.
   void apply_partition();
 
   const chem::ModificationSet* mods_;

@@ -15,18 +15,15 @@ Schedule schedule_from_string(std::string_view name) {
   if (lowered == "lbe_static" || lowered == "static") {
     return Schedule::kLbeStatic;
   }
-  if (lowered == "calibrated") return Schedule::kCalibrated;
   if (lowered == "stealing") return Schedule::kStealing;
   throw ConfigError("unknown schedule: " + std::string(name) +
-                    " (expected lbe_static|calibrated|stealing)");
+                    " (expected lbe_static|stealing)");
 }
 
 const char* schedule_name(Schedule schedule) {
   switch (schedule) {
     case Schedule::kLbeStatic:
       return "lbe_static";
-    case Schedule::kCalibrated:
-      return "calibrated";
     case Schedule::kStealing:
       return "stealing";
   }
@@ -37,9 +34,6 @@ void ScheduleParams::validate() const {
   if (!(steal_threshold >= 1.0)) {
     throw ConfigError("steal_threshold must be >= 1.0 (1.0 = steal whenever "
                       "any rank is above the mean remaining load)");
-  }
-  if (calibration_queries < 1) {
-    throw ConfigError("calibration_queries must be >= 1");
   }
 }
 
@@ -116,74 +110,6 @@ std::vector<double> calibration_weights(const CostFeedback& feedback) {
     w = std::clamp(w / mean, 0.05, 20.0);
   }
   return speed;
-}
-
-namespace {
-
-class StaticPolicy final : public SchedulingPolicy {
- public:
-  Schedule schedule() const override { return Schedule::kLbeStatic; }
-  PartitionParams plan_params(const PartitionParams& base,
-                              const CostFeedback&) const override {
-    return base;
-  }
-  bool steals_at_runtime() const override { return false; }
-};
-
-class CalibratedPolicy final : public SchedulingPolicy {
- public:
-  Schedule schedule() const override { return Schedule::kCalibrated; }
-  PartitionParams plan_params(const PartitionParams& base,
-                              const CostFeedback& feedback) const override {
-    const std::vector<double> weights = calibration_weights(feedback);
-    if (weights.size() != static_cast<std::size_t>(base.ranks)) {
-      // No (usable) feedback yet: stay on the static placement. The probe
-      // run itself takes this branch.
-      return base;
-    }
-    PartitionParams fitted = base;
-    fitted.policy = Policy::kWeighted;
-    fitted.weights = weights;
-    return fitted;
-  }
-  bool steals_at_runtime() const override { return false; }
-};
-
-class StealingPolicy final : public SchedulingPolicy {
- public:
-  Schedule schedule() const override { return Schedule::kStealing; }
-  PartitionParams plan_params(const PartitionParams& base,
-                              const CostFeedback&) const override {
-    // Placement is untouched — rebalancing happens at runtime, which is
-    // exactly why psms.tsv stays byte-identical to lbe_static.
-    return base;
-  }
-  bool steals_at_runtime() const override { return true; }
-};
-
-}  // namespace
-
-PartitionPlan SchedulingPolicy::place(
-    const std::vector<std::uint32_t>& group_sizes,
-    const PartitionParams& base, const CostFeedback& feedback) const {
-  const PartitionParams params = plan_params(base, feedback);
-  PartitionPlan plan = partition(group_sizes, params);
-  std::size_t total = 0;
-  for (const auto size : group_sizes) total += size;
-  check_partition(plan, total, group_sizes.size(), schedule_name(schedule()));
-  return plan;
-}
-
-std::unique_ptr<SchedulingPolicy> make_policy(Schedule schedule) {
-  switch (schedule) {
-    case Schedule::kLbeStatic:
-      return std::make_unique<StaticPolicy>();
-    case Schedule::kCalibrated:
-      return std::make_unique<CalibratedPolicy>();
-    case Schedule::kStealing:
-      return std::make_unique<StealingPolicy>();
-  }
-  throw ConfigError("unknown schedule");
 }
 
 }  // namespace lbe::core

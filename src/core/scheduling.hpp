@@ -1,28 +1,26 @@
-// Scheduling policies — how a plan's static placement meets the runtime.
+// Scheduling — how a plan's static placement meets the runtime.
 //
-// The paper places work once, offline, from Eq. 1 predictions. This layer
-// turns that baked-in step into a pluggable policy:
+// The paper places work once, offline, from Eq. 1 predictions. Both
+// schedules search that placement with one runtime protocol
+// (search/distributed.cpp): every rank runs its own batch queue, then asks
+// the master for more work.
 //
-//   lbe_static — the paper's behaviour: partition once, search; bit-identical
-//                to the pre-policy pipeline.
-//   calibrated — run a short probe, refit the Eq. 1 cost model against the
-//                *observed* per-rank work rates, and re-plan with Weighted
-//                partitioning sized to the measured speeds (the §VIII
-//                "load-predicting model for heterogeneous architectures").
-//   stealing   — keep the static placement but rebalance at runtime: an idle
-//                rank claims query batches from the most-loaded rank's
-//                unstarted tail (search/distributed.cpp speaks the steal
-//                protocol; results stay byte-identical because the master's
-//                merge order never depends on who executed a batch).
+//   lbe_static — the paper's behaviour: the master answers every request
+//                with `done`, so each rank searches exactly its own queue.
+//   stealing   — the master answers with a batch span cut from the
+//                most-loaded rank's unstarted tail while the backlog clears
+//                `steal_threshold`. Results stay byte-identical to
+//                lbe_static because the merge order never depends on who
+//                executed a batch.
 //
-// Every policy's placement must pass `assert_is_partition` — the
-// merian-wrs-style testable invariant (SNIPPETS.md): each element placed
-// exactly once, ids in range, and no rank left empty unless there are more
-// ranks than groups.
+// Placement must pass `assert_is_partition` — the merian-wrs-style testable
+// invariant (SNIPPETS.md): each element placed exactly once, ids in range,
+// and no rank left empty unless there are more ranks than groups.
+// `calibration_weights` turns observed per-rank speeds into weights for
+// Policy::kWeighted (the §VIII heterogeneous-cluster ablation).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,11 +31,11 @@ namespace lbe::core {
 
 enum class Schedule : std::uint8_t {
   kLbeStatic = 0,
-  kCalibrated = 1,
+  // 1 was the retired probe-and-re-plan schedule; decoders reject it.
   kStealing = 2,
 };
 
-/// Parses "lbe_static" | "calibrated" | "stealing" (case-insensitive).
+/// Parses "lbe_static" | "stealing" (case-insensitive).
 Schedule schedule_from_string(std::string_view name);
 const char* schedule_name(Schedule schedule);
 
@@ -47,14 +45,12 @@ struct ScheduleParams {
   /// least `steal_threshold` times the mean remaining batches per rank —
   /// below that the fleet is balanced and migration would only add traffic.
   double steal_threshold = 1.2;
-  /// Calibrated: query count of the probe run the cost model is refit from.
-  std::uint32_t calibration_queries = 16;
 
   void validate() const;  ///< throws ConfigError
 };
 
 /// What the runtime observed: per-rank wall seconds and deterministic work
-/// units from a probe (or a full run). Input to calibration.
+/// units from a run. Input to calibration_weights.
 struct CostFeedback {
   std::vector<double> rank_seconds;     ///< query-phase seconds per rank
   std::vector<double> rank_cost_units;  ///< QueryWork::cost_units per rank
@@ -72,7 +68,7 @@ struct PartitionCheck {
   bool ok() const { return covered && unique && in_range && no_empty_rank; }
 };
 
-/// The merian-wrs-style oracle every scheduling policy must pass: checks
+/// The merian-wrs-style oracle every placement must pass: checks
 /// that `plan` places each of the `total` ids exactly once, in range, and
 /// leaves no rank empty unless ranks > num_groups (a rank with nothing to
 /// do is a placement bug at sane sizes, not a valid split).
@@ -80,45 +76,15 @@ PartitionCheck assert_is_partition(const PartitionPlan& plan,
                                    std::size_t total, std::size_t num_groups);
 
 /// Like assert_is_partition but throws ConfigError on violation — the form
-/// LbePlan construction and policy `place` use.
+/// LbePlan construction uses.
 void check_partition(const PartitionPlan& plan, std::size_t total,
                      std::size_t num_groups, const char* who);
-
-/// A scheduling policy decides the *placement* (possibly from feedback) and
-/// declares whether it also rebalances at runtime. The runtime half
-/// (steal-request/steal-grant messages) lives in search/distributed.cpp;
-/// this interface is what the app layer and benches program against.
-class SchedulingPolicy {
- public:
-  virtual ~SchedulingPolicy() = default;
-
-  virtual Schedule schedule() const = 0;
-
-  /// The partition parameters this policy plans with. `base` is the static
-  /// LBE configuration; `feedback` is runtime observation (empty vectors =
-  /// none available yet, e.g. before any probe ran).
-  virtual PartitionParams plan_params(const PartitionParams& base,
-                                      const CostFeedback& feedback) const = 0;
-
-  /// True when the distributed runtime should speak the steal protocol on
-  /// top of this policy's placement.
-  virtual bool steals_at_runtime() const = 0;
-
-  /// Plans and validates: partition(group_sizes, plan_params(...)) followed
-  /// by the assert_is_partition oracle. Every policy goes through here, so
-  /// a policy that mangles the placement fails loudly, not silently.
-  PartitionPlan place(const std::vector<std::uint32_t>& group_sizes,
-                      const PartitionParams& base,
-                      const CostFeedback& feedback) const;
-};
-
-std::unique_ptr<SchedulingPolicy> make_policy(Schedule schedule);
 
 /// Calibration weight fit: rank m's relative speed = cost_units/seconds,
 /// normalized to mean 1 and clamped to [0.05, 20] so one noisy probe rank
 /// cannot starve (or swamp) a partition. Returns an empty vector when the
 /// feedback is degenerate (mismatched sizes, a rank with no time or no
-/// work) — the caller stays on the static placement then.
+/// work) — the caller stays on the unweighted placement then.
 std::vector<double> calibration_weights(const CostFeedback& feedback);
 
 }  // namespace lbe::core

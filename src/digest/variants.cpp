@@ -48,7 +48,7 @@ void enumerate(const std::string& sequence, const chem::ModificationSet& mods,
     // Prune: not enough sites left to reach target_k.
     for (std::size_t s = next_site; s + remaining <= sites.size(); ++s) {
       for (const chem::ModId mod : sites[s].mods) {
-        current.push_back(chem::ModSite{sites[s].position, mod});
+        current.push_back(chem::ModSite{sites[s].position, mod, 0});
         const bool keep_going = self(self, s + 1, target_k);
         current.pop_back();
         if (!keep_going) return false;

@@ -181,12 +181,10 @@ void ablation_grouping(BenchContext& ctx) {
 }
 
 // Heterogeneous clusters and the load-prediction model (§VIII future
-// work): 8 ranks, half 3x slower. The calibrated policy refits per-rank
-// speeds from the uniform run's own observations (CostFeedback ->
-// plan_params, the same hooks `lbectl search --schedule calibrated` uses)
-// and its weighted re-plan restores balance; work stealing attacks the
-// same skew at runtime instead; predicted per-rank cost tracks measured
-// work units.
+// work): 8 ranks, half 3x slower. calibration_weights refits per-rank
+// speeds from the uniform run's own observations and a Policy::kWeighted
+// re-plan with them restores balance; work stealing attacks the same skew
+// at runtime instead; predicted per-rank cost tracks measured work units.
 void ablation_heterogeneous(BenchContext& ctx) {
   using namespace lbe;
   Figure fig(
@@ -256,16 +254,20 @@ void ablation_heterogeneous(BenchContext& ctx) {
   const double uniform_li = load_imbalance(uniform.query_seconds);
   const double uniform_wall = uniform.wall;
 
-  // Calibrated re-plan through the policy hooks: the uniform run doubles as
-  // the probe, its observed per-rank seconds + deterministic work units are
-  // the CostFeedback, and CalibratedPolicy fits the speed weights — the
-  // bench no longer hand-codes 1/slowdown anywhere.
+  // Calibrated re-plan: the uniform run doubles as the probe, its observed
+  // per-rank seconds + deterministic work units are the CostFeedback, and
+  // calibration_weights fits the speed weights — the bench never hand-codes
+  // 1/slowdown. A degenerate fit keeps the uniform placement (and fails the
+  // "fits weighted params" check below).
   core::CostFeedback feedback;
   feedback.rank_seconds = uniform.query_seconds;
   feedback.rank_cost_units = work_unit_loads(uniform.report.work);
-  const core::PartitionParams fitted =
-      core::make_policy(core::Schedule::kCalibrated)
-          ->plan_params(base_partition, feedback);
+  core::PartitionParams fitted = base_partition;
+  std::vector<double> weights = core::calibration_weights(feedback);
+  if (weights.size() == kRanks) {
+    fitted.policy = core::Policy::kWeighted;
+    fitted.weights = std::move(weights);
+  }
   const auto weighted = run_with(fitted, core::Schedule::kLbeStatic,
                                  params.result_batch);
   const double weighted_li = load_imbalance(weighted.query_seconds);

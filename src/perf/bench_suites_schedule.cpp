@@ -1,9 +1,8 @@
 // Suite "schedule" — the scheduling layer's makespan contract on one
 // heterogeneous fixture (8 ranks, half 3x slower; the ablation suite's
 // cluster): work stealing must cut the static query makespan by >= 1.2x
-// where hardware is skewed, while costing < 5% where it is not, and the
-// calibrated policy must recover the hardware skew from a probe through the
-// public CostFeedback -> plan_params hooks — no hand-coded 1/slowdown.
+// where hardware is skewed, while costing < 5% where it is not. Both
+// schedules run the same queue protocol; only the master's grants differ.
 #include <algorithm>
 #include <memory>
 
@@ -187,86 +186,12 @@ void schedule_stealing(BenchContext& ctx) {
                         static_cast<double>(stolen_hetero));
 }
 
-// Calibration end to end through the policy hooks: probe the static plan,
-// feed the observed per-rank seconds + work units into CalibratedPolicy,
-// re-plan with the fitted weights, and demand the re-planned run beats the
-// static one on the same skewed hardware.
-void schedule_calibrated(BenchContext& ctx) {
-  using namespace lbe;
-  Figure fig(
-      "Schedule: calibrated",
-      "probe -> CostFeedback -> weighted re-plan on the heterogeneous fixture",
-      "observed speeds recover the 3x hardware skew, so the fitted weights "
-      "shift entries off the slow half and cut the query makespan",
-      {"config", "metric", "value"});
-
-  const auto& workload = ctx.workload(kEntries, kQueries);
-  core::LbeParams lbe;
-  lbe.partition.policy = core::Policy::kCyclic;
-  lbe.partition.ranks = kRanks;
-  const core::LbePlan plan(workload.base_peptides, workload.mods,
-                           workload.variant_params, lbe);
-
-  auto static_params = schedule_params(core::Schedule::kLbeStatic);
-  const auto base_indexes = preload_indexes(plan, static_params);
-  static_params.preloaded = &base_indexes;
-  const auto static_run = std::move(run_schedules(
-      plan, workload.queries, {static_params}, hetero_slowdown())[0]);
-
-  core::CostFeedback feedback;
-  feedback.rank_seconds = static_run.query_seconds;
-  feedback.rank_cost_units = work_unit_loads(static_run.report.work);
-
-  const auto policy = core::make_policy(core::Schedule::kCalibrated);
-  const core::PartitionParams fitted =
-      policy->plan_params(lbe.partition, feedback);
-  const core::LbePlan replanned(plan, fitted);
-  auto calibrated_params = schedule_params(core::Schedule::kCalibrated);
-  const auto replanned_indexes = preload_indexes(replanned, calibrated_params);
-  calibrated_params.preloaded = &replanned_indexes;
-  const auto calibrated_run = std::move(run_schedules(
-      replanned, workload.queries, {calibrated_params}, hetero_slowdown())[0]);
-
-  fig.row({"static", "query_wall_s", bench::fmt(static_run.query_wall)});
-  fig.row({"calibrated", "query_wall_s",
-           bench::fmt(calibrated_run.query_wall)});
-  for (int rank = 0; rank < kRanks; ++rank) {
-    const auto r = static_cast<std::size_t>(rank);
-    fig.row({"calibrated_rank" + std::to_string(rank), "weight",
-             bench::fmt(fitted.weights.empty() ? 0.0 : fitted.weights[r])});
-    fig.row({"calibrated_rank" + std::to_string(rank), "entries",
-             bench::fmt(calibrated_run.report.index_entries[r])});
-  }
-
-  fig.check("probe feedback produces a weighted plan",
-            fitted.policy == core::Policy::kWeighted &&
-                fitted.weights.size() == kRanks);
-  if (fitted.weights.size() == kRanks) {
-    // Fast rank 0 measured ~3x the speed of slow rank 4; calibration sees
-    // it through noise plus each rank's fixed per-query cost, so demand a
-    // clear ordering rather than the exact ratio.
-    fig.check("fitted weights recover the hardware skew (> 1.5x)",
-              fitted.weights[0] > 1.5 * fitted.weights[4]);
-  }
-  const double speedup = static_run.query_wall / calibrated_run.query_wall;
-  fig.check("calibrated re-plan cuts the query makespan by > 10%",
-            speedup > 1.1);
-  fig.finish();
-  ctx.absorb_checks(fig);
-  ctx.result.add_metric("queries_per_sec",
-                        kQueries / calibrated_run.query_wall);
-  ctx.result.add_metric("calibrated_speedup", speedup);
-}
-
 }  // namespace
 
 void register_schedule_benches(BenchRegistry& registry) {
   registry.add(BenchmarkDef{"schedule_stealing", "schedule",
                             "static vs stealing makespan, hetero + homo",
                             schedule_stealing});
-  registry.add(BenchmarkDef{"schedule_calibrated", "schedule",
-                            "probe-calibrated re-plan vs static, hetero",
-                            schedule_calibrated});
 }
 
 }  // namespace lbe::perf

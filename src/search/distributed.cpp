@@ -18,14 +18,19 @@ bool global_psm_better(const GlobalPsm& a, const GlobalPsm& b) {
   return a.peptide < b.peptide;
 }
 
-bool steal_protocol_active(const core::ScheduleParams& schedule, int ranks,
-                           std::size_t num_queries) {
-  // Pure function of data both sides of a process boundary share (the
-  // master's plan vs a worker's decoded SearchSetup + comm size), so the
-  // two halves of the protocol can never disagree about whether steal
-  // messages flow.
-  return schedule.schedule == core::Schedule::kStealing && ranks > 1 &&
-         num_queries > 0;
+void merge_rank_top(const index::MappingTable& mapping, RankId index_rank,
+                    const std::vector<Psm>& top, GlobalQueryResult& slot) {
+  for (const Psm& psm : top) {
+    slot.top.push_back(GlobalPsm{mapping.to_global(index_rank, psm.peptide),
+                                 psm.shared_peaks, psm.score, index_rank});
+  }
+}
+
+void finish_merge(std::vector<GlobalQueryResult>& merged, std::size_t top_k) {
+  for (GlobalQueryResult& result : merged) {
+    std::sort(result.top.begin(), result.top.end(), global_psm_better);
+    if (result.top.size() > top_k) result.top.resize(top_k);
+  }
 }
 
 namespace {
@@ -183,30 +188,29 @@ void decode_task_batch_into(const mpi::Bytes& bytes, RankId executed_by,
             "result batch names an unknown index rank");
   reader.pod<std::uint64_t>();  // query_lo: cell identity, used by peek only
   const auto count = reader.pod<std::uint64_t>();
+  std::vector<Psm> top;
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto query_id = reader.pod<std::uint32_t>();
     const auto predicted = reader.pod<double>();
     const index::QueryWork work = wire::read_query_work(reader);
     const auto psm_count = reader.pod<std::uint32_t>();
     LBE_CHECK(query_id < merged.size(), "result for unknown query id");
-    const bool claimed = query_id >= from_query;
-    if (claimed && costs != nullptr) {
+    // Grown one read at a time: a corrupt count fails on the truncated
+    // payload instead of sizing an allocation.
+    top.clear();
+    for (std::uint32_t k = 0; k < psm_count; ++k) {
+      Psm& psm = top.emplace_back();
+      psm.peptide = reader.pod<LocalPeptideId>();
+      psm.shared_peaks = reader.pod<std::uint32_t>();
+      psm.score = reader.pod<float>();
+    }
+    if (query_id < from_query) continue;
+    if (costs != nullptr) {
       costs->push_back(
           QueryCostRecord{query_id, index_rank, executed_by, predicted, work});
     }
-    auto& slot = merged[query_id];
-    if (claimed) slot.query_id = query_id;
-    for (std::uint32_t k = 0; k < psm_count; ++k) {
-      const auto local = reader.pod<LocalPeptideId>();
-      const auto shared = reader.pod<std::uint32_t>();
-      const auto hyper = reader.pod<float>();
-      if (!claimed) continue;
-      // The paper's O(1) mapping-table lookup: local (virtual) -> global.
-      // source_rank is the *index* rank — placement, not executor — so the
-      // merged stream is identical whether or not the batch was stolen.
-      slot.top.push_back(GlobalPsm{mapping.to_global(index_rank, local),
-                                   shared, hyper, index_rank});
-    }
+    merged[query_id].query_id = query_id;
+    merge_rank_top(mapping, index_rank, top, merged[query_id]);
   }
 }
 
@@ -251,90 +255,70 @@ void run_search_worker_rank(mpi::Comm& comm,
   comm.barrier();
   times.query_start = comm.vclock();
 
-  // [query] Search query batches against partial indexes, shipping each
-  // result batch to the master as soon as it is complete.
-  if (!config.stealing) {
-    // Fixed owner-computes schedule: the whole query set against this
-    // rank's own partial index, in order. The master relies on receiving
-    // exactly ceil(num_queries / batch) kResultTag messages from us. The
-    // per-batch yield gives every schedule the same physical interleaving
-    // on the serialized virtual engine — so measured static and stealing
-    // timings differ by scheduling, not by cache locality of who held the
-    // token longest (a no-op on concurrent backends).
-    for (std::size_t lo = 0; lo < num_queries; lo += batch) {
-      comm.yield();
-      const std::size_t hi = std::min<std::size_t>(lo + batch, num_queries);
-      runner.run_batch(rank, lo, hi, work);
-      comm.send(0, kResultTag, encode_task_batch(runner, rank, lo, hi));
-      ++stats.batches_executed;
+  // [query] Owner-local claiming, the one protocol of both schedules: this
+  // rank executes its own queue [head, tail) with no master round-trip,
+  // shipping each result batch to the master as soon as it is complete —
+  // the master learns progress from the result stream. When a thief is
+  // granted a batch off our unstarted tail (stealing only), the master
+  // mails a StealTailCut; we apply cuts between batches (monotonically,
+  // min) and stop short of stolen work. A cut can race past us — then both
+  // we and the thief run the batch and the master deduplicates the cell —
+  // but it can never lose work.
+  const std::size_t batches_per_rank = (num_queries + batch - 1) / batch;
+  std::uint64_t head = 0;
+  std::uint64_t tail = batches_per_rank;
+  // The query phase ends when the last executed batch's results exist —
+  // the release handshake after it (request, the master's serialized
+  // done-grants) is shutdown. Folding it into query_done would bill every
+  // rank for the slowest release instead of for query work.
+  double last_batch_done = comm.vclock();
+  while (head < tail) {
+    // Without a blocking call in this loop, the serialized virtual engine
+    // would run the whole queue in one physical slice and no cut could ever
+    // arrive mid-queue; yield hands the token to ranks behind in virtual
+    // time (a no-op on concurrent backends).
+    comm.yield();
+    while (comm.probe(0, kStealTailTag)) {
+      const wire::StealTailCut cut =
+          wire::decode_steal_tail_cut(comm.recv(0, kStealTailTag));
+      tail = std::min(tail, cut.new_tail);
     }
-    times.query_done = comm.vclock();
-  } else {
-    // Work stealing, owner-local claiming: this rank executes its own queue
-    // [head, tail) with no master round-trip — the master learns progress
-    // from the result stream. When a thief is granted a batch off our
-    // unstarted tail, the master mails a StealTailCut; we apply cuts
-    // between batches (monotonically, min) and stop short of stolen work.
-    // A cut can race past us — then both we and the thief run the batch and
-    // the master deduplicates the cell — but it can never lose work.
-    const std::size_t batches_per_rank =
-        (num_queries + batch - 1) / batch;
-    std::uint64_t head = 0;
-    std::uint64_t tail = batches_per_rank;
-    // A stealing rank's query phase ends when its last executed batch's
-    // results exist — the release handshake after it (request, the master's
-    // serialized done-grants) is shutdown, the static schedule's analogue
-    // of the master merging after query_done. Folding the handshake into
-    // query_done would bill every rank for the slowest release instead of
-    // for query work.
-    double last_batch_done = comm.vclock();
-    while (head < tail) {
-      // Without a blocking call in this loop, the serialized virtual engine
-      // would run the whole queue in one physical slice and no cut could
-      // ever arrive mid-queue; yield hands the token to ranks behind in
-      // virtual time (a no-op on concurrent backends).
-      comm.yield();
-      while (comm.probe(0, kStealTailTag)) {
-        const wire::StealTailCut cut =
-            wire::decode_steal_tail_cut(comm.recv(0, kStealTailTag));
-        tail = std::min(tail, cut.new_tail);
-      }
-      if (head >= tail) break;
-      const std::uint64_t b = head++;
-      const auto lo = static_cast<std::size_t>(b) * batch;
-      const std::size_t hi = std::min<std::size_t>(lo + batch, num_queries);
-      runner.run_batch(rank, lo, hi, work);
-      comm.send(0, kResultTag, encode_task_batch(runner, rank, lo, hi));
-      ++stats.batches_executed;
-      last_batch_done = comm.vclock();
-    }
-    // Queue empty: turn thief. The first request tells the master this rank
-    // is exhausted (no more cuts will be sent our way; any still in flight
-    // are simply left unread). Each grant is one batch claimed from the
-    // most-loaded rank's tail; `done` releases us to the stats send.
-    for (;;) {
-      comm.send(0, kStealRequestTag,
-                wire::encode_steal_request(
-                    wire::StealRequest{stats.batches_executed}));
-      const wire::StealGrant grant =
-          wire::decode_steal_grant(comm.recv(0, kStealGrantTag));
-      if (grant.done) break;
-      const auto lo = static_cast<std::size_t>(grant.query_lo);
-      const auto hi = static_cast<std::size_t>(grant.query_hi);
-      LBE_CHECK(hi <= num_queries, "steal grant out of query range");
-      runner.run_batch(grant.index_rank, lo, hi, work);
-      comm.send(0, kResultTag,
-                encode_task_batch(runner, grant.index_rank, lo, hi));
-      // A grant can span several batch cells (steal-half); the counters
-      // stay in cell units so the ledger checks add up across schedules.
-      const auto cells =
-          static_cast<std::uint64_t>((hi - lo + batch - 1) / batch);
-      stats.batches_executed += cells;
-      stats.batches_stolen += cells;
-      last_batch_done = comm.vclock();
-    }
-    times.query_done = last_batch_done;
+    if (head >= tail) break;
+    const std::uint64_t b = head++;
+    const auto lo = static_cast<std::size_t>(b) * batch;
+    const std::size_t hi = std::min<std::size_t>(lo + batch, num_queries);
+    runner.run_batch(rank, lo, hi, work);
+    comm.send(0, kResultTag, encode_task_batch(runner, rank, lo, hi));
+    ++stats.batches_executed;
+    last_batch_done = comm.vclock();
   }
+  // Queue empty: turn thief. The first request tells the master this rank
+  // is exhausted (no more cuts will be sent our way; any still in flight are
+  // simply left unread). Each grant is one span claimed from the most-loaded
+  // rank's tail; `done` — the only answer under lbe_static — releases us to
+  // the stats send.
+  for (;;) {
+    comm.send(0, kStealRequestTag,
+              wire::encode_steal_request(
+                  wire::StealRequest{stats.batches_executed}));
+    const wire::StealGrant grant =
+        wire::decode_steal_grant(comm.recv(0, kStealGrantTag));
+    if (grant.done) break;
+    const auto lo = static_cast<std::size_t>(grant.query_lo);
+    const auto hi = static_cast<std::size_t>(grant.query_hi);
+    LBE_CHECK(hi <= num_queries, "steal grant out of query range");
+    runner.run_batch(grant.index_rank, lo, hi, work);
+    comm.send(0, kResultTag,
+              encode_task_batch(runner, grant.index_rank, lo, hi));
+    // A grant can span several batch cells (steal-half); the counters stay
+    // in cell units so the ledger checks add up across schedules.
+    const auto cells =
+        static_cast<std::uint64_t>((hi - lo + batch - 1) / batch);
+    stats.batches_executed += cells;
+    stats.batches_stolen += cells;
+    last_batch_done = comm.vclock();
+  }
+  times.query_done = last_batch_done;
   times.finish = comm.vclock();
 
   // [stats] Shipped after `finish` is captured, so the phase times a rank
@@ -370,10 +354,8 @@ DistributedReport run_distributed_search(
   const std::uint32_t batch = params.result_batch;
   const std::size_t batches_per_rank =
       num_queries == 0 ? 0 : (num_queries + batch - 1) / batch;
-  const bool stealing =
-      steal_protocol_active(params.schedule, p, num_queries);
   const bool cost_model =
-      params.schedule.schedule != core::Schedule::kLbeStatic;
+      params.schedule.schedule == core::Schedule::kStealing;
 
   // Builds (or adopts) rank `rank`'s partial index; shared by the master
   // below and the in-process worker ranks. Under stealing a thief calls it
@@ -397,9 +379,8 @@ DistributedReport run_distributed_search(
     if (rank != 0) {
       // In-process worker ranks (the process backend's workers run the
       // same body via the registered rank program instead).
-      WorkerSearchConfig config{params.search, batch, params.threads_per_rank};
-      config.stealing = stealing;
-      config.cost_model = cost_model;
+      WorkerSearchConfig config{params.search, batch, params.threads_per_rank,
+                                cost_model};
       run_search_worker_rank(comm, queries, plan.mods(), config,
                              index_source);
       return;
@@ -433,306 +414,238 @@ DistributedReport run_distributed_search(
     std::vector<QueryCostRecord>* costs =
         cost_model ? &report.query_costs : nullptr;
     auto& work = report.work[0];
-
-    // Folds the master's own scratch rows [lo, hi) — searched against
-    // `index_rank`'s partial index — straight into the merge, bypassing the
-    // wire (same mapping, same record shape as decode_task_batch_into).
-    auto merge_own_rows = [&](int index_rank, std::size_t lo,
-                              std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const QueryResult& result = runner.results()[i];
-        if (costs != nullptr) {
-          costs->push_back(QueryCostRecord{result.query_id, index_rank, 0,
-                                           runner.predicted(index_rank, i),
-                                           runner.per_query()[i]});
-        }
-        auto& slot = merged[result.query_id];
-        slot.query_id = result.query_id;
-        for (const Psm& psm : result.top) {
-          slot.top.push_back(
-              GlobalPsm{plan.mapping().to_global(index_rank, psm.peptide),
-                        psm.shared_peaks, psm.score, index_rank});
-        }
-      }
-    };
-
     std::vector<std::optional<wire::RankStats>> stashed_stats(
         static_cast<std::size_t>(p));
 
-    if (!stealing) {
-      // [query] Fixed owner-computes schedule: the master searches the
-      // whole query set against its own partial index... (The yield
-      // mirrors the workers' — every rank interleaves per batch on the
-      // serialized engine, so schedules compare on scheduling alone.)
-      for (std::size_t lo = 0; lo < num_queries; lo += batch) {
-        comm.yield();
-        const std::size_t hi = std::min<std::size_t>(lo + batch, num_queries);
-        runner.run_batch(0, lo, hi, work);
-        ++report.batches_executed[0];
-      }
-      times.query_done = comm.vclock();
+    // [query] Owner-local claiming, the one protocol of both schedules.
+    // Ranks execute their own queues without any master round-trip; the
+    // master's ledger tracks, per rank v, the unstolen tail `tail[v]` (exact
+    // — only the master cuts it) and how many of v's own batches have been
+    // *received* (`results_own[v]`, a conservative progress floor, since
+    // results in flight undercount). An idle rank sends one StealRequest;
+    // under lbe_static it is answered `done` at once, under stealing it is
+    // fed batches off the most-loaded rank's tail, one grant per result,
+    // until no backlog clears the threshold. Each grant to a worker victim
+    // is announced to that victim with a StealTailCut; a cut that loses the
+    // race costs one duplicated batch, which the per-cell dedup grid below
+    // absorbs before decode — so query_costs and merged PSMs stay
+    // exactly-once per (index_rank, batch) cell.
+    std::vector<std::uint64_t> tail(static_cast<std::size_t>(p),
+                                    batches_per_rank);
+    std::vector<std::uint64_t> results_own(static_cast<std::size_t>(p), 0);
+    std::vector<char> exhausted(static_cast<std::size_t>(p), 0);
+    std::vector<std::vector<char>> cell_merged(
+        static_cast<std::size_t>(p), std::vector<char>(batches_per_rank, 0));
+    const std::uint64_t total_cells =
+        static_cast<std::uint64_t>(p) * batches_per_rank;
+    std::uint64_t merged_cells = 0;
+    int workers_released = 0;
 
-      // [merge] ...then folds its own results plus every worker batch
-      // through the mapping table.
-      merge_own_rows(0, 0, num_queries);
-      for (int src = 1; src < p; ++src) {
-        for (std::size_t b = 0; b < batches_per_rank; ++b) {
-          decode_task_batch_into(comm.recv(src, kResultTag), src, p,
-                                 plan.mapping(), merged, costs);
-        }
-      }
-    } else {
-      // [query] Work stealing with owner-local claiming. Ranks execute
-      // their own queues without any master round-trip; the master's
-      // ledger tracks, per rank v, the unstolen tail `tail[v]` (exact —
-      // only the master cuts it) and how many of v's own batches have been
-      // *received* (`results_own[v]`, a conservative progress floor, since
-      // results in flight undercount). An idle rank sends one StealRequest
-      // and is then fed batches off the most-loaded rank's tail, one grant
-      // per result, until no backlog clears the threshold. Each grant to a
-      // worker victim is announced to that victim with a StealTailCut; a
-      // cut that loses the race costs one duplicated batch, which the
-      // per-cell dedup grid below absorbs before decode — so query_costs
-      // and merged PSMs stay exactly-once per (index_rank, batch) cell.
-      std::vector<std::uint64_t> tail(static_cast<std::size_t>(p),
-                                      batches_per_rank);
-      std::vector<std::uint64_t> results_own(static_cast<std::size_t>(p), 0);
-      std::vector<char> exhausted(static_cast<std::size_t>(p), 0);
-      std::uint64_t my_head = 0;
-      std::vector<std::vector<char>> cell_merged(
-          static_cast<std::size_t>(p),
-          std::vector<char>(batches_per_rank, 0));
-      const std::uint64_t total_cells =
-          static_cast<std::uint64_t>(p) * batches_per_rank;
-      std::uint64_t merged_cells = 0;
-      int workers_released = 0;
+    // Estimated unfinished own-queue depth of rank v: a slight overestimate
+    // (in-flight results), which only errs toward stealing a batch the owner
+    // just finished, i.e. a deduplicated no-op, never toward losing work.
+    // The master is exhausted before it serves any request, so it is never
+    // a victim.
+    auto backlog = [&](int v) -> std::uint64_t {
+      const auto vv = static_cast<std::size_t>(v);
+      if (exhausted[vv]) return 0;
+      return tail[vv] > results_own[vv] ? tail[vv] - results_own[vv] : 0;
+    };
 
-      // Estimated unfinished own-queue depth of rank v. Exact for the
-      // master (my_head), a slight overestimate for workers (in-flight
-      // results) — which only errs toward stealing a batch the owner just
-      // finished, i.e. a deduplicated no-op, never toward losing work.
-      auto backlog = [&](int v) -> std::uint64_t {
-        const auto vv = static_cast<std::size_t>(v);
-        if (exhausted[vv]) return 0;
-        const std::uint64_t done = v == 0 ? my_head : results_own[vv];
-        return tail[vv] > done ? tail[vv] - done : 0;
-      };
-
-      auto claim_for = [&](int requester) {
-        wire::StealGrant grant;
-        // Steal from the most-loaded rank's unstarted tail — but only when
-        // that backlog clears the threshold relative to the mean remaining
-        // load, with a floor of 4: a victim's last pending batch is likely
-        // already being computed by its owner, and a worker's backlog is
-        // read through in-flight results, which overstate it by a message
-        // or two near the end. The floor keeps a balanced run — where a
-        // rank can transiently look a few batches behind from timing noise
-        // alone — from churning batches that their owner would finish
-        // sooner than a grant round trip anyway.
-        int victim = -1;
-        std::uint64_t most = 0;
-        std::uint64_t total = 0;
-        for (int v = 0; v < p; ++v) {
-          const std::uint64_t rem = backlog(v);
-          total += rem;
-          if (rem > most) {
-            most = rem;
-            victim = v;
-          }
-        }
-        const double mean =
-            static_cast<double>(total) / static_cast<double>(p);
-        if (victim < 0 || victim == requester ||
-            static_cast<double>(most) <
-                std::max(4.0, params.schedule.steal_threshold * mean)) {
-          grant.done = true;
-          return grant;
-        }
-        // Steal-half, capped: one grant moves up to half the victim's
-        // unstarted tail so a round trip to the master amortizes over
-        // several batches — the serving master, not the thief's compute,
-        // is the scarce resource when many ranks go idle together.
-        const auto v = static_cast<std::size_t>(victim);
-        const std::uint64_t take =
-            std::max<std::uint64_t>(1, std::min<std::uint64_t>(most / 2, 4));
-        tail[v] -= take;
-        const std::uint64_t b_lo = tail[v];
-        if (victim != 0) {
-          comm.send(victim, kStealTailTag,
-                    wire::encode_steal_tail_cut(wire::StealTailCut{b_lo}));
-        }
-        grant.index_rank = victim;
-        grant.query_lo = b_lo * batch;
-        grant.query_hi =
-            std::min<std::uint64_t>((b_lo + take) * batch, num_queries);
+    auto claim_for = [&](int requester) {
+      wire::StealGrant grant;
+      grant.done = true;
+      if (params.schedule.schedule == core::Schedule::kLbeStatic) {
         return grant;
-      };
-
-      auto serve_request = [&](int src, const mpi::Bytes& payload) {
-        wire::decode_steal_request(payload);  // shape check only
-        exhausted[static_cast<std::size_t>(src)] = 1;
-        const wire::StealGrant grant = claim_for(src);
-        if (grant.done) ++workers_released;
-        comm.send(src, kStealGrantTag, wire::encode_steal_grant(grant));
-      };
-
-      // Worker results are only *peeked* during the query loop — enough
-      // for the ledger and the dedup grid. The expensive wire decode is
-      // deferred to the merge epilogue after query_done, exactly where the
-      // static schedule pays it, so the gated query phase reflects
-      // scheduling rather than the master's serial decode bill.
-      struct PendingResult {
-        int src;
-        std::uint32_t from_query;  ///< dedup watermark for the decode
-        mpi::Bytes payload;
-      };
-      std::vector<PendingResult> pending;
-      pending.reserve(static_cast<std::size_t>(p - 1) * batches_per_rank);
-
-      auto on_result = [&](int src, mpi::Bytes payload) {
-        const TaskBatchHeader header = peek_task_batch(payload);
-        LBE_CHECK(header.index_rank >= 0 && header.index_rank < p,
-                  "result batch names an unknown index rank");
-        const std::uint64_t b_lo = header.query_lo / batch;
-        const std::uint64_t b_hi =
-            header.count == 0
-                ? b_lo + 1
-                : (header.query_lo + header.count - 1) / batch + 1;
-        LBE_CHECK(b_lo < b_hi && b_hi <= batches_per_rank,
-                  "result batch out of grid range");
-        const auto v = static_cast<std::size_t>(header.index_rank);
-        // Owner results arrive in batch order (per-pair FIFO) and always
-        // cover one cell, so this counts each own cell at most once and is
-        // the ledger's progress floor for rank v.
-        if (header.index_rank == src) ++results_own[v];
-        // Claim the span's unmerged cells. An owner racing a tail cut wins
-        // a *prefix* of the span (it executes its queue in order), so the
-        // unclaimed part is a contiguous tail and one watermark suffices.
-        std::uint64_t first_unmerged = b_hi;
-        for (std::uint64_t b = b_lo; b < b_hi; ++b) {
-          if (!cell_merged[v][b]) {
-            first_unmerged = b;
-            break;
-          }
+      }
+      // Steal from the most-loaded rank's unstarted tail — but only when
+      // that backlog clears the threshold relative to the mean remaining
+      // load, with a floor of 4: a victim's last pending batch is likely
+      // already being computed by its owner, and a worker's backlog is read
+      // through in-flight results, which overstate it by a message or two
+      // near the end. The floor keeps a balanced run — where a rank can
+      // transiently look a few batches behind from timing noise alone —
+      // from churning batches that their owner would finish sooner than a
+      // grant round trip anyway.
+      int victim = -1;
+      std::uint64_t most = 0;
+      std::uint64_t total = 0;
+      for (int v = 0; v < p; ++v) {
+        const std::uint64_t rem = backlog(v);
+        total += rem;
+        if (rem > most) {
+          most = rem;
+          victim = v;
         }
-        if (first_unmerged == b_hi) return;  // benign duplicate, fully lost
-        for (std::uint64_t b = first_unmerged; b < b_hi; ++b) {
-          LBE_CHECK(!cell_merged[v][b],
-                    "non-contiguous dedup claim in a stolen span");
-          cell_merged[v][b] = 1;
-          ++merged_cells;
-        }
-        pending.push_back(PendingResult{
-            src, static_cast<std::uint32_t>(first_unmerged * batch),
-            std::move(payload)});
-      };
+      }
+      const double mean = static_cast<double>(total) / static_cast<double>(p);
+      if (victim < 0 || victim == requester ||
+          static_cast<double>(most) <
+              std::max(4.0, params.schedule.steal_threshold * mean)) {
+        return grant;
+      }
+      // Steal-half, capped: one grant moves up to half the victim's
+      // unstarted tail so a round trip to the master amortizes over several
+      // batches — the serving master, not the thief's compute, is the
+      // scarce resource when many ranks go idle together.
+      const auto v = static_cast<std::size_t>(victim);
+      const std::uint64_t take =
+          std::max<std::uint64_t>(1, std::min<std::uint64_t>(most / 2, 4));
+      tail[v] -= take;
+      const std::uint64_t b_lo = tail[v];
+      comm.send(victim, kStealTailTag,
+                wire::encode_steal_tail_cut(wire::StealTailCut{b_lo}));
+      grant.done = false;
+      grant.index_rank = victim;
+      grant.query_lo = b_lo * batch;
+      grant.query_hi =
+          std::min<std::uint64_t>((b_lo + take) * batch, num_queries);
+      return grant;
+    };
 
-      // Drain already-arrived results without blocking — the ledger's
-      // progress floor must be as fresh as possible *before* any grant
-      // decision, or a balanced run reads laggy results_own as backlog and
-      // churns duplicated batches.
-      auto drain_results = [&]() {
-        while (comm.probe(mpi::kAnySource, kResultTag)) {
-          mpi::RecvInfo info;
-          mpi::Bytes payload = comm.recv(mpi::kAnySource, kResultTag, &info);
-          on_result(info.src, std::move(payload));
-        }
-      };
+    auto serve_request = [&](int src, const mpi::Bytes& payload) {
+      wire::decode_steal_request(payload);  // shape check only
+      exhausted[static_cast<std::size_t>(src)] = 1;
+      const wire::StealGrant grant = claim_for(src);
+      if (grant.done) ++workers_released;
+      comm.send(src, kStealGrantTag, wire::encode_steal_grant(grant));
+    };
 
-      // Serve any request that has already arrived. Results are drained
-      // only when a grant decision needs them (drain_results inside):
-      // receiving is real metered work, and paying it eagerly between the
-      // master's own batches would bill the query phase for what the
-      // static schedule pays in its merge epilogue.
-      auto pump = [&]() {
-        while (comm.probe(mpi::kAnySource, kStealRequestTag)) {
-          mpi::RecvInfo info;
-          const mpi::Bytes payload =
-              comm.recv(mpi::kAnySource, kStealRequestTag, &info);
-          drain_results();
-          serve_request(info.src, payload);
-        }
-      };
+    // Worker results are only *peeked* during the query loop — enough for
+    // the ledger and the dedup grid. The expensive wire decode is deferred
+    // to the merge epilogue after query_done, so the query phase reflects
+    // scheduling rather than the master's serial decode bill.
+    struct PendingResult {
+      int src;
+      std::uint32_t from_query;  ///< dedup watermark for the decode
+      mpi::Bytes payload;
+    };
+    std::vector<PendingResult> pending;
+    pending.reserve(static_cast<std::size_t>(p - 1) * batches_per_rank);
 
-      // Phase 1: the master's own queue, same owner-local rule as the
-      // workers'. Requests and results queue in the mailbox until phase 2:
-      // serving mid-queue would interleave drains and grant decisions —
-      // real metered work — between the master's own batches, billing its
-      // query phase (and, through release waits, every rank's) for what
-      // the static schedule pays in its merge epilogue. Thieves lose at
-      // most one master-batch of grant latency, and only when the master
-      // is among the slowest ranks. The yield lets ranks that are behind
-      // in virtual time run between batches on the serialized engine (a
-      // no-op on concurrent backends). Like the workers, the master's
-      // query phase ends at its last executed batch; the grant serving
-      // after it is shutdown.
-      double last_batch_done = comm.vclock();
-      while (my_head < tail[0]) {
-        comm.yield();
-        const std::uint64_t b = my_head++;
-        const auto lo = static_cast<std::size_t>(b) * batch;
-        const std::size_t hi = std::min<std::size_t>(lo + batch, num_queries);
-        runner.run_batch(0, lo, hi, work);
-        merge_own_rows(0, lo, hi);
-        cell_merged[0][b] = 1;
+    auto on_result = [&](int src, mpi::Bytes payload) {
+      const TaskBatchHeader header = peek_task_batch(payload);
+      LBE_CHECK(header.index_rank >= 0 && header.index_rank < p,
+                "result batch names an unknown index rank");
+      const std::uint64_t b_lo = header.query_lo / batch;
+      const std::uint64_t b_hi =
+          header.count == 0 ? b_lo + 1
+                            : (header.query_lo + header.count - 1) / batch + 1;
+      LBE_CHECK(b_lo < b_hi && b_hi <= batches_per_rank,
+                "result batch out of grid range");
+      const auto v = static_cast<std::size_t>(header.index_rank);
+      // Owner results arrive in batch order (per-pair FIFO) and always cover
+      // one cell, so this counts each own cell at most once and is the
+      // ledger's progress floor for rank v.
+      if (header.index_rank == src) ++results_own[v];
+      // Claim the span's unmerged cells. An owner racing a tail cut wins a
+      // *prefix* of the span (it executes its queue in order), so the
+      // unclaimed part is a contiguous tail and one watermark suffices.
+      std::uint64_t first_unmerged = b_hi;
+      for (std::uint64_t b = b_lo; b < b_hi; ++b) {
+        if (!cell_merged[v][b]) {
+          first_unmerged = b;
+          break;
+        }
+      }
+      if (first_unmerged == b_hi) return;  // benign duplicate, fully lost
+      for (std::uint64_t b = first_unmerged; b < b_hi; ++b) {
+        LBE_CHECK(!cell_merged[v][b],
+                  "non-contiguous dedup claim in a stolen span");
+        cell_merged[v][b] = 1;
         ++merged_cells;
-        ++report.batches_executed[0];
-        last_batch_done = comm.vclock();
       }
-      exhausted[0] = 1;
+      pending.push_back(PendingResult{
+          src, static_cast<std::uint32_t>(first_unmerged * batch),
+          std::move(payload)});
+    };
 
-      // Phase 2: the master is a pure grant server. It does NOT turn
-      // thief: a stolen batch would pin it for a full compute while every
-      // idle thief's request queues behind it — grant latency is worth
-      // more than one extra fast rank of capacity. Straggler results
-      // still in flight are merge work, exactly like the static master's
-      // post-query_done recv loop. A worker's stats cannot overtake its
-      // own sends (per-pair FIFO) but may arrive before its release is
-      // processed — stash them.
-      pump();
-      while (workers_released < p - 1) {
-        mpi::RecvInfo info;
-        mpi::Bytes payload = comm.recv(mpi::kAnySource, mpi::kAnyTag, &info);
-        if (info.tag == kStealRequestTag) {
-          // The blocking recv jumped the clock to the request's send time;
-          // results that became visible with it must feed the ledger
-          // before the grant decision.
-          drain_results();
-          serve_request(info.src, payload);
-        } else if (info.tag == kResultTag) {
-          on_result(info.src, std::move(payload));
-        } else if (info.tag == kStatsTag) {
-          stashed_stats[static_cast<std::size_t>(info.src)] =
-              wire::decode_rank_stats(payload);
-        } else {
-          throw CommError("unexpected tag during steal drain");
-        }
-      }
-      times.query_done = last_batch_done;
-
-      // [merge] Straggler results (every worker is already released, so
-      // only kResultTag can still be pending besides stats), then the
-      // deferred wire decodes — the same serial epilogue the static
-      // schedule runs between query_done and finish.
-      while (merged_cells < total_cells) {
+    // Drain already-arrived results without blocking — the ledger's progress
+    // floor must be as fresh as possible *before* any grant decision, or a
+    // balanced run reads laggy results_own as backlog and churns duplicated
+    // batches.
+    auto drain_results = [&]() {
+      while (comm.probe(mpi::kAnySource, kResultTag)) {
         mpi::RecvInfo info;
         mpi::Bytes payload = comm.recv(mpi::kAnySource, kResultTag, &info);
         on_result(info.src, std::move(payload));
       }
-      for (const PendingResult& result : pending) {
-        decode_task_batch_into(result.payload, result.src, p, plan.mapping(),
-                               merged, costs, result.from_query);
+    };
+
+    // Phase 1: the master's own queue, same owner-local rule as the
+    // workers'. Its rows stay in the runner's scratch until the merge
+    // epilogue. Requests and results queue in the mailbox until phase 2:
+    // serving mid-queue would interleave drains and grant decisions — real
+    // metered work — between the master's own batches, billing its query
+    // phase (and, through release waits, every rank's) for merge work.
+    // Thieves lose at most one master-batch of grant latency, and only when
+    // the master is among the slowest ranks. So nobody cuts the master's
+    // tail: it executes every one of its own cells. The yield lets ranks
+    // that are behind in virtual time run between batches on the serialized
+    // engine (a no-op on concurrent backends).
+    double last_batch_done = comm.vclock();
+    for (std::uint64_t b = 0; b < batches_per_rank; ++b) {
+      comm.yield();
+      const auto lo = static_cast<std::size_t>(b) * batch;
+      const std::size_t hi = std::min<std::size_t>(lo + batch, num_queries);
+      runner.run_batch(0, lo, hi, work);
+      cell_merged[0][b] = 1;
+      ++merged_cells;
+      ++report.batches_executed[0];
+      last_batch_done = comm.vclock();
+    }
+    exhausted[0] = 1;
+    times.query_done = last_batch_done;
+
+    // Phase 2: the master is a pure grant server. It does NOT turn thief: a
+    // stolen batch would pin it for a full compute while every idle thief's
+    // request queues behind it — grant latency is worth more than one extra
+    // fast rank of capacity. A worker's stats cannot overtake its own sends
+    // (per-pair FIFO) but may arrive before its release is processed —
+    // stash them.
+    while (workers_released < p - 1) {
+      mpi::RecvInfo info;
+      mpi::Bytes payload = comm.recv(mpi::kAnySource, mpi::kAnyTag, &info);
+      if (info.tag == kStealRequestTag) {
+        // The blocking recv jumped the clock to the request's send time;
+        // results that became visible with it must feed the ledger before
+        // the grant decision.
+        drain_results();
+        serve_request(info.src, payload);
+      } else if (info.tag == kResultTag) {
+        on_result(info.src, std::move(payload));
+      } else if (info.tag == kStatsTag) {
+        stashed_stats[static_cast<std::size_t>(info.src)] =
+            wire::decode_rank_stats(payload);
+      } else {
+        throw CommError("unexpected tag during steal drain");
       }
     }
 
-    // Deterministic merge: global_psm_better is a strict total order over
-    // unique global ids, so the sorted/truncated lists are independent of
-    // which rank executed which batch and of arrival order.
-    const std::size_t top_k = params.search.top_k;
-    for (auto& result : merged) {
-      std::sort(result.top.begin(), result.top.end(), global_psm_better);
-      if (result.top.size() > top_k) result.top.resize(top_k);
+    // [merge] Straggler results (every worker is already released, so only
+    // kResultTag can still be pending besides stats), then the master's own
+    // rows and the deferred wire decodes, each payload freed once folded.
+    while (merged_cells < total_cells) {
+      mpi::RecvInfo info;
+      mpi::Bytes payload = comm.recv(mpi::kAnySource, kResultTag, &info);
+      on_result(info.src, std::move(payload));
     }
+    for (std::size_t i = 0; i < num_queries; ++i) {
+      const QueryResult& result = runner.results()[i];
+      if (costs != nullptr) {
+        costs->push_back(QueryCostRecord{result.query_id, 0, 0,
+                                         runner.predicted(0, i),
+                                         runner.per_query()[i]});
+      }
+      merged[result.query_id].query_id = result.query_id;
+      merge_rank_top(plan.mapping(), 0, result.top, merged[result.query_id]);
+    }
+    for (PendingResult& result : pending) {
+      decode_task_batch_into(result.payload, result.src, p, plan.mapping(),
+                             merged, costs, result.from_query);
+      mpi::Bytes().swap(result.payload);
+    }
+    finish_merge(merged, params.search.top_k);
     report.results = std::move(merged);
     times.finish = comm.vclock();
 

@@ -51,20 +51,13 @@ struct DistributedParams {
   /// the pointees must outlive the search. Results are identical to a cold
   /// build: the serialized transformed arrays are the built ones.
   const std::vector<std::unique_ptr<index::ChunkedIndex>>* preloaded = nullptr;
-  /// Scheduling policy (core/scheduling.hpp). kLbeStatic reproduces the
-  /// fixed owner-computes protocol bit for bit; kStealing keeps static
-  /// placement but lets idle ranks claim query batches from the most-loaded
-  /// rank's unstarted tail; kCalibrated only changes the *plan* (the caller
-  /// re-partitions before invoking this), so the runtime treats it like
-  /// static placement plus cost-record collection.
+  /// Scheduling policy (core/scheduling.hpp). Both schedules speak one
+  /// protocol: every rank runs its own batch queue, then asks the master for
+  /// more. Under kLbeStatic the master answers `done` at once — the paper's
+  /// fixed owner-computes placement; under kStealing it grants batches from
+  /// the most-loaded rank's unstarted tail.
   core::ScheduleParams schedule;
 };
-
-/// Whether the steal-request/steal-grant protocol is live for a run. Both
-/// sides of a process boundary must agree, so it is a pure function of data
-/// both sides have: master passes plan.ranks(), a worker comm.size().
-bool steal_protocol_active(const core::ScheduleParams& schedule, int ranks,
-                           std::size_t num_queries);
 
 /// A PSM with master-side (global) peptide identity.
 struct GlobalPsm {
@@ -81,9 +74,20 @@ struct GlobalQueryResult {
 
 /// The master's merge order: score desc, shared desc, global id asc. Global
 /// variant ids are unique across ranks, so this is a strict total order and
-/// any merge that sorts with it is deterministic. Exposed so the serving
-/// daemon reproduces the one-shot merge bit for bit.
+/// any merge that sorts with it is deterministic.
 bool global_psm_better(const GlobalPsm& a, const GlobalPsm& b);
+
+/// The one merge, shared by the distributed master and the serving daemon.
+/// Appends rank `index_rank`'s local top list to `slot`, mapping each local
+/// (virtual) id to its global id with the O(1) mapping-table lookup.
+/// `source_rank` is the index rank — placement, not executor — so the merged
+/// stream does not depend on who searched the batch.
+void merge_rank_top(const index::MappingTable& mapping, RankId index_rank,
+                    const std::vector<Psm>& top, GlobalQueryResult& slot);
+
+/// Sorts every merged list with global_psm_better and truncates it to
+/// `top_k`: independent of execution and arrival order.
+void finish_merge(std::vector<GlobalQueryResult>& merged, std::size_t top_k);
 
 /// Per-rank virtual-time phase boundaries (seconds on that rank's clock).
 struct PhaseTimes {
@@ -117,8 +121,8 @@ struct DistributedReport {
   std::uint64_t mapping_bytes = 0;         ///< master-side mapping table
   std::vector<GlobalQueryResult> results;  ///< final, at master
   double makespan = 0.0;                   ///< max rank finish time
-  /// Per-rank result batches searched / stolen (empty counters under
-  /// lbe_static where no rank can execute foreign work).
+  /// Per-rank result batches searched / stolen (batches_stolen is all zero
+  /// under lbe_static, where no rank executes foreign work).
   std::vector<std::uint64_t> batches_executed;
   std::vector<std::uint64_t> batches_stolen;
   /// Predicted-vs-observed per query; empty under lbe_static (the cost
@@ -147,10 +151,6 @@ struct WorkerSearchConfig {
   SearchParams search;
   std::uint32_t result_batch = 256;
   std::uint32_t threads_per_rank = 1;
-  /// Run the steal-request/steal-grant loop instead of the fixed batch
-  /// schedule. Must equal steal_protocol_active(...) on the master, or the
-  /// two sides deadlock waiting for messages the other never sends.
-  bool stealing = false;
   /// Build the per-index QueryCostModel and ship per-query predictions in
   /// result batches. Off under lbe_static: building the model materializes
   /// mapped index chunks, defeating lazy warm starts.

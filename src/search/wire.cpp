@@ -176,7 +176,6 @@ mpi::Bytes encode_search_setup(const SearchSetup& setup) {
   writer.pod(setup.threads_per_rank);
   writer.pod(static_cast<std::uint8_t>(setup.schedule.schedule));
   writer.pod(setup.schedule.steal_threshold);
-  writer.pod(setup.schedule.calibration_queries);
   writer.pod(static_cast<std::uint64_t>(setup.queries.size()));
   for (const auto& spectrum : setup.queries) write_spectrum(writer, spectrum);
   return bytes;
@@ -193,11 +192,11 @@ SearchSetup decode_search_setup(const mpi::Bytes& payload) {
   setup.result_batch = reader.pod<std::uint32_t>();
   setup.threads_per_rank = reader.pod<std::uint32_t>();
   const auto schedule = reader.pod<std::uint8_t>();
-  require(schedule <= static_cast<std::uint8_t>(core::Schedule::kStealing),
+  require(schedule == static_cast<std::uint8_t>(core::Schedule::kLbeStatic) ||
+              schedule == static_cast<std::uint8_t>(core::Schedule::kStealing),
           "malformed setup: unknown schedule");
   setup.schedule.schedule = static_cast<core::Schedule>(schedule);
   setup.schedule.steal_threshold = reader.pod<double>();
-  setup.schedule.calibration_queries = reader.pod<std::uint32_t>();
   const auto count = reader.pod<std::uint64_t>();
   require(count <= kMaxWireQueries,
           "malformed setup: implausible query count");

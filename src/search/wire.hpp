@@ -64,8 +64,8 @@ struct SearchSetup {
   SearchParams search;
   std::uint32_t result_batch = 256;
   std::uint32_t threads_per_rank = 1;
-  /// Scheduling policy the master runs; workers derive from it whether the
-  /// steal protocol is live and whether to build the per-index cost model.
+  /// Scheduling policy the master runs; workers derive from it whether to
+  /// build the per-index cost model.
   core::ScheduleParams schedule;
   std::vector<chem::Spectrum> queries;
 };

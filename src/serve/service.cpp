@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -70,9 +69,8 @@ SearchResponse SearchService::search_batch(
   response.start_id = start_id;
   response.queries = num_queries;
 
-  // Same merge as the distributed master: every rank searches the whole
-  // batch, local ids travel through the mapping table, and the per-query
-  // lists sort under the strict total order global_psm_better.
+  // The distributed master's merge: every rank searches the whole batch and
+  // its local top lists map into the per-query slots.
   std::vector<search::GlobalQueryResult> merged(num_queries);
   for (int rank = 0; rank < warm.ranks(); ++rank) {
     // Engines are per-call (cheap: pointers + params + an arena) so
@@ -84,21 +82,11 @@ SearchResponse SearchService::search_batch(
         engine.search_all(spectra, work, pool);
     for (std::size_t q = 0; q < num_queries; ++q) {
       response.candidates += local[q].candidates;
-      auto& slot = merged[q];
-      for (const search::Psm& psm : local[q].top) {
-        slot.top.push_back(search::GlobalPsm{
-            plan.mapping().to_global(rank, psm.peptide), psm.shared_peaks,
-            psm.score, rank});
-      }
+      merged[q].query_id = start_id + static_cast<std::uint32_t>(q);
+      search::merge_rank_top(plan.mapping(), rank, local[q].top, merged[q]);
     }
   }
-  const std::size_t top_k = params.top_k;
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    auto& slot = merged[q];
-    slot.query_id = start_id + static_cast<std::uint32_t>(q);
-    std::sort(slot.top.begin(), slot.top.end(), search::global_psm_better);
-    if (slot.top.size() > top_k) slot.top.resize(top_k);
-  }
+  search::finish_merge(merged, params.top_k);
 
   response.rows =
       search::resolve_psms(plan, merged, context->plan.decoy_bases);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "common/error.hpp"
 
 namespace lbe::core {
@@ -17,11 +15,11 @@ std::vector<std::uint32_t> uniform_groups(std::size_t count,
 TEST(ScheduleParsing, RoundTrip) {
   EXPECT_EQ(schedule_from_string("lbe_static"), Schedule::kLbeStatic);
   EXPECT_EQ(schedule_from_string("static"), Schedule::kLbeStatic);
-  EXPECT_EQ(schedule_from_string("Calibrated"), Schedule::kCalibrated);
   EXPECT_EQ(schedule_from_string("STEALING"), Schedule::kStealing);
   EXPECT_THROW(schedule_from_string("dynamic"), ConfigError);
+  // The probe-and-re-plan schedule is retired.
+  EXPECT_THROW(schedule_from_string("calibrated"), ConfigError);
   EXPECT_STREQ(schedule_name(Schedule::kLbeStatic), "lbe_static");
-  EXPECT_STREQ(schedule_name(Schedule::kCalibrated), "calibrated");
   EXPECT_STREQ(schedule_name(Schedule::kStealing), "stealing");
 }
 
@@ -32,8 +30,6 @@ TEST(ScheduleParams, Validation) {
   EXPECT_THROW(params.validate(), ConfigError);
   params.steal_threshold = 1.0;
   params.validate();
-  params.calibration_queries = 0;
-  EXPECT_THROW(params.validate(), ConfigError);
 }
 
 TEST(PartitionOracle, AcceptsExactPartition) {
@@ -94,77 +90,23 @@ TEST(PartitionOracle, ThrowingFormNamesThePolicy) {
   }
 }
 
-// Every policy's place() must produce an oracle-clean partition, with or
-// without feedback.
-class PolicyPlacement : public ::testing::TestWithParam<Schedule> {};
-
-TEST_P(PolicyPlacement, PlacesAnExactPartition) {
-  const auto policy = make_policy(GetParam());
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->schedule(), GetParam());
-
-  PartitionParams base;
-  base.ranks = 4;
-  const auto group_sizes = uniform_groups(37, 3);
-
-  CostFeedback none;
-  const PartitionPlan cold = policy->place(group_sizes, base, none);
-  EXPECT_EQ(cold.per_rank.size(), 4u);
-
+// Calibration weights drive a Policy::kWeighted re-plan (the §VIII
+// heterogeneous ablation): the placement must pass the oracle and give the
+// fast ranks more entries.
+TEST(CalibrationWeights, WeightedPlacementIsAnExactPartition) {
   CostFeedback observed;
   observed.rank_seconds = {1.0, 1.0, 3.0, 3.0};
   observed.rank_cost_units = {100.0, 100.0, 100.0, 100.0};
-  const PartitionPlan warm = policy->place(group_sizes, base, observed);
-  EXPECT_EQ(warm.per_rank.size(), 4u);
-}
+  PartitionParams params;
+  params.ranks = 4;
+  params.policy = Policy::kWeighted;
+  params.weights = calibration_weights(observed);
+  ASSERT_EQ(params.weights.size(), 4u);
 
-INSTANTIATE_TEST_SUITE_P(AllSchedules, PolicyPlacement,
-                         ::testing::Values(Schedule::kLbeStatic,
-                                           Schedule::kCalibrated,
-                                           Schedule::kStealing));
-
-TEST(PolicyPlacement, OnlyStealingStealsAtRuntime) {
-  EXPECT_FALSE(make_policy(Schedule::kLbeStatic)->steals_at_runtime());
-  EXPECT_FALSE(make_policy(Schedule::kCalibrated)->steals_at_runtime());
-  EXPECT_TRUE(make_policy(Schedule::kStealing)->steals_at_runtime());
-}
-
-TEST(PolicyPlacement, StaticAndStealingKeepThePlacement) {
-  PartitionParams base;
-  base.ranks = 3;
-  CostFeedback observed;
-  observed.rank_seconds = {1.0, 2.0, 4.0};
-  observed.rank_cost_units = {100.0, 100.0, 100.0};
-  for (const Schedule s : {Schedule::kLbeStatic, Schedule::kStealing}) {
-    const PartitionParams fitted =
-        make_policy(s)->plan_params(base, observed);
-    EXPECT_EQ(fitted.policy, base.policy) << schedule_name(s);
-    EXPECT_TRUE(fitted.weights.empty()) << schedule_name(s);
-  }
-}
-
-TEST(PolicyPlacement, CalibratedSwitchesToWeighted) {
-  PartitionParams base;
-  base.ranks = 3;
-  CostFeedback observed;
-  observed.rank_seconds = {1.0, 1.0, 2.0};
-  observed.rank_cost_units = {100.0, 100.0, 100.0};
-  const PartitionParams fitted =
-      make_policy(Schedule::kCalibrated)->plan_params(base, observed);
-  EXPECT_EQ(fitted.policy, Policy::kWeighted);
-  ASSERT_EQ(fitted.weights.size(), 3u);
-  // Rank 2 took twice the time for the same work: half the speed weight.
-  EXPECT_GT(fitted.weights[0], fitted.weights[2]);
-  EXPECT_NEAR(fitted.weights[0] / fitted.weights[2], 2.0, 1e-9);
-}
-
-TEST(PolicyPlacement, CalibratedWithoutFeedbackStaysStatic) {
-  PartitionParams base;
-  base.ranks = 3;
-  const PartitionParams fitted =
-      make_policy(Schedule::kCalibrated)->plan_params(base, CostFeedback{});
-  EXPECT_EQ(fitted.policy, base.policy);
-  EXPECT_TRUE(fitted.weights.empty());
+  const auto group_sizes = uniform_groups(37, 3);
+  const PartitionPlan plan = partition(group_sizes, params);
+  EXPECT_TRUE(assert_is_partition(plan, 37 * 3, 37).ok());
+  EXPECT_GT(plan.per_rank[0].size(), plan.per_rank[2].size());
 }
 
 TEST(CalibrationWeights, NormalizedToMeanOne) {

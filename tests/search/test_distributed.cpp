@@ -189,15 +189,21 @@ TEST(DistributedSearch, ClusterSizeMismatchRejected) {
       InvariantError);
 }
 
+constexpr core::Schedule kSchedules[] = {core::Schedule::kLbeStatic,
+                                         core::Schedule::kStealing};
+
 TEST(DistributedSearch, EmptyQuerySetProducesEmptyReport) {
   Fixture fx;
   const auto plan = fx.plan(core::Policy::kCyclic, 2);
-  auto cluster = fx.cluster(2);
-  const auto report =
-      run_distributed_search(cluster, plan, {}, fx.params);
-  EXPECT_TRUE(report.results.empty());
-  for (const auto& work : report.work) {
-    EXPECT_EQ(work.peaks_processed, 0u);
+  for (const core::Schedule schedule : kSchedules) {
+    DistributedParams params = fx.params;
+    params.schedule.schedule = schedule;
+    auto cluster = fx.cluster(2);
+    const auto report = run_distributed_search(cluster, plan, {}, params);
+    EXPECT_TRUE(report.results.empty()) << core::schedule_name(schedule);
+    for (const auto& work : report.work) {
+      EXPECT_EQ(work.peaks_processed, 0u) << core::schedule_name(schedule);
+    }
   }
 }
 
@@ -297,11 +303,19 @@ TEST_P(ScheduleEquivalence, StealingMatchesStaticExactly) {
 }
 
 TEST_P(ScheduleEquivalence, StealingOnSlowedClusterMatchesStatic) {
-  // A heterogeneous fleet (half the ranks 3x slower) forces real steals on
-  // the virtual engine; results must not move.
+  // A heterogeneous fleet (half the ranks 10x slower) forces real steals on
+  // the virtual engine; results must not move. Eight copies of the query
+  // set make each queue 48 batches deep, so the slow half is still far
+  // behind when the fast half runs dry, even if a host hiccup stretches a
+  // fast rank's measured time several-fold — a 6-batch queue at 3x does
+  // not clear the 4-batch steal floor reliably.
   const int ranks = 4;
   const auto plan = fx_.plan(core::Policy::kCyclic, ranks);
-  const auto queries = fx_.queries();
+  std::vector<chem::Spectrum> queries;
+  for (int copy = 0; copy < 8; ++copy) {
+    const auto once = fx_.queries();
+    queries.insert(queries.end(), once.begin(), once.end());
+  }
 
   auto cluster_static = cluster(ranks);
   const auto baseline =
@@ -310,11 +324,23 @@ TEST_P(ScheduleEquivalence, StealingOnSlowedClusterMatchesStatic) {
   DistributedParams steal_params = fx_.params;
   steal_params.schedule.schedule = core::Schedule::kStealing;
   steal_params.schedule.steal_threshold = 1.0;
-  auto cluster_steal = cluster(ranks, {1.0, 1.0, 3.0, 3.0});
+  auto cluster_steal = cluster(ranks, {1.0, 1.0, 10.0, 10.0});
   const auto stolen =
       run_distributed_search(cluster_steal, plan, queries, steal_params);
 
   expect_same_results(baseline, stolen);
+
+  // lbe_static speaks the same queue protocol, but every grant is `done`:
+  // nothing migrates and no cost model is built.
+  for (const auto batches : baseline.batches_stolen) EXPECT_EQ(batches, 0u);
+  EXPECT_TRUE(baseline.query_costs.empty());
+  // Slowdown factors only bend the virtual engine's clocks, so only there
+  // is the slow half guaranteed to fall behind far enough to be robbed.
+  if (GetParam() == mpi::Engine::kVirtual) {
+    std::uint64_t migrated = 0;
+    for (const auto batches : stolen.batches_stolen) migrated += batches;
+    EXPECT_GT(migrated, 0u);
+  }
 }
 
 TEST_P(ScheduleEquivalence, CostModelRecordsCoverEveryQueryOnce) {
@@ -350,25 +376,19 @@ INSTANTIATE_TEST_SUITE_P(Engines, ScheduleEquivalence,
                                       : "threads_engine";
                          });
 
-TEST(DistributedSearch, StealProtocolActivation) {
-  core::ScheduleParams stealing;
-  stealing.schedule = core::Schedule::kStealing;
-  EXPECT_TRUE(steal_protocol_active(stealing, 4, 100));
-  EXPECT_FALSE(steal_protocol_active(stealing, 1, 100));  // nobody to rob
-  EXPECT_FALSE(steal_protocol_active(stealing, 4, 0));    // nothing to do
-  EXPECT_FALSE(steal_protocol_active(core::ScheduleParams{}, 4, 100));
-}
-
 TEST(DistributedSearch, StealingSingleRankDegradesToStatic) {
   Fixture fx;
   const auto plan = fx.plan(core::Policy::kCyclic, 1);
   const auto queries = fx.queries();
-  DistributedParams params = fx.params;
-  params.schedule.schedule = core::Schedule::kStealing;
-  auto cluster = fx.cluster(1);
-  const auto report = run_distributed_search(cluster, plan, queries, params);
-  ASSERT_EQ(report.results.size(), queries.size());
-  EXPECT_EQ(report.batches_stolen[0], 0u);
+  for (const core::Schedule schedule : kSchedules) {
+    DistributedParams params = fx.params;
+    params.schedule.schedule = schedule;
+    auto cluster = fx.cluster(1);
+    const auto report = run_distributed_search(cluster, plan, queries, params);
+    ASSERT_EQ(report.results.size(), queries.size())
+        << core::schedule_name(schedule);
+    EXPECT_EQ(report.batches_stolen[0], 0u) << core::schedule_name(schedule);
+  }
 }
 
 TEST(DistributedSearch, LargeBatchSizeSingleMessage) {

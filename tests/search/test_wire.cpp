@@ -1,6 +1,6 @@
-// Round-trip coverage for the steal-protocol control messages. The search
-// payloads (spectra, setup, result batches) are exercised end to end by the
-// process-backend equivalence tests; the control messages are small enough
+// Round-trip coverage for the steal-protocol control messages and the setup's
+// schedule byte. The search payloads (spectra, setup, result batches) are
+// exercised end to end by the process-backend equivalence tests; the control messages are small enough
 // that a field dropped from a codec would only show up as a subtle
 // scheduling bug, so they get explicit field-by-field checks here.
 #include "search/wire.hpp"
@@ -95,6 +95,27 @@ TEST(WireSteal, TrailingBytesThrow) {
   mpi::Bytes bytes = wire::encode_steal_request(wire::StealRequest{});
   bytes.push_back(0);
   EXPECT_THROW(wire::decode_steal_request(bytes), CommError);
+}
+
+// The setup's schedule byte admits exactly the two live schedules: 1 (the
+// retired probe-and-re-plan schedule) and anything above kStealing are a
+// typed rejection, not a worker running an unknown protocol.
+TEST(WireSetup, ScheduleByteRoundTripsAndRejectsUnknownValues) {
+  wire::SearchSetup setup;
+  setup.bundle_dir = "bundle";
+  setup.schedule.schedule = core::Schedule::kStealing;
+  setup.schedule.steal_threshold = 1.5;
+  const wire::SearchSetup out =
+      wire::decode_search_setup(wire::encode_search_setup(setup));
+  EXPECT_EQ(out.schedule.schedule, core::Schedule::kStealing);
+  EXPECT_EQ(out.schedule.steal_threshold, 1.5);
+
+  for (const int value : {1, 3, 255}) {
+    setup.schedule.schedule = static_cast<core::Schedule>(value);
+    EXPECT_THROW(wire::decode_search_setup(wire::encode_search_setup(setup)),
+                 CommError)
+        << "schedule byte " << value;
+  }
 }
 
 }  // namespace
