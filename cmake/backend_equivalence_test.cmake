@@ -73,43 +73,49 @@ if(NOT status EQUAL 0)
 endif()
 
 # The warm baseline: a cold rebuild over the *prepared plan* (the plan's
-# stored database, not this invocation's synthetic one).
-execute_process(
-  COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-          --out ${WORK_DIR}/plan_cold
-  RESULT_VARIABLE status)
-if(NOT status EQUAL 0)
-  message(FATAL_ERROR "plan-based cold lbectl search failed (${status})")
-endif()
-
-foreach(backend virtual threads process)
+# stored database, not this invocation's synthetic one). Run at the default
+# open window and at a narrow one (--open-window 0.05), where the
+# precursor-first window path answers most queries.
+foreach(window inf 0.05)
   execute_process(
-    COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-            --index ${WORK_DIR}/prep --backend ${backend}
-            --out ${WORK_DIR}/warm_${backend}
-    OUTPUT_VARIABLE warm_output
+    COMMAND ${LBECTL} search ${COMMON} --open-window ${window}
+            --plan ${WORK_DIR}/prep/plan.lbe --out ${WORK_DIR}/plan_cold_${window}
     RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
     message(FATAL_ERROR
-            "warm lbectl search --backend ${backend} failed (${status})")
-  endif()
-  if(NOT warm_output MATCHES "warm start: loaded")
-    message(FATAL_ERROR
-            "warm search --backend ${backend} did not report a warm start:\n"
-            "${warm_output}")
+            "plan-based cold lbectl search (window ${window}) failed (${status})")
   endif()
 
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/plan_cold/psms.tsv
-            ${WORK_DIR}/warm_${backend}/psms.tsv
-    RESULT_VARIABLE status)
-  if(NOT status EQUAL 0)
-    message(FATAL_ERROR
-            "warm --backend ${backend} psms.tsv differs from the cold "
-            "rebuild over the same plan")
-  endif()
-  message(STATUS
-          "warm --backend ${backend} psms.tsv is byte-identical to the "
-          "cold rebuild over the same plan")
+  foreach(backend virtual threads process)
+    set(label warm_${backend}_${window})
+    execute_process(
+      COMMAND ${LBECTL} search ${COMMON} --open-window ${window}
+              --plan ${WORK_DIR}/prep/plan.lbe
+              --index ${WORK_DIR}/prep --backend ${backend}
+              --out ${WORK_DIR}/${label}
+      OUTPUT_VARIABLE warm_output
+      RESULT_VARIABLE status)
+    if(NOT status EQUAL 0)
+      message(FATAL_ERROR "warm lbectl search (${label}) failed (${status})")
+    endif()
+    if(NOT warm_output MATCHES "warm start: loaded")
+      message(FATAL_ERROR
+              "warm search (${label}) did not report a warm start:\n"
+              "${warm_output}")
+    endif()
+
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files
+              ${WORK_DIR}/plan_cold_${window}/psms.tsv
+              ${WORK_DIR}/${label}/psms.tsv
+      RESULT_VARIABLE status)
+    if(NOT status EQUAL 0)
+      message(FATAL_ERROR
+              "warm --backend ${backend} psms.tsv (window ${window}) differs "
+              "from the cold rebuild over the same plan")
+    endif()
+    message(STATUS
+            "warm --backend ${backend} psms.tsv (window ${window}) is "
+            "byte-identical to the cold rebuild over the same plan")
+  endforeach()
 endforeach()

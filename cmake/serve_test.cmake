@@ -1,7 +1,8 @@
 # Serving acceptance test (ctest `lbectl_serve_end_to_end`): a daemon
 # started over a prepared index bundle must answer `lbectl query` with a
 # psms.tsv byte-identical to a one-shot `lbectl search` — before AND after
-# a SIGHUP hot swap — then exit cleanly on `query --shutdown`.
+# a SIGHUP hot swap — then exit cleanly on `query --shutdown`; and a second
+# daemon at a narrow window (--open-window 0.05) must match its one-shot too.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P serve_test.cmake
 
@@ -49,6 +50,19 @@ wait \$SERVE_PID
 grep -q 'listening on' \"\$LOG\"
 grep -q 'shutdown complete' \"\$LOG\"
 test ! -e \"\$SOCK\"
+
+# The same contract at a narrow precursor window, where the precursor-first
+# window path answers most queries.
+NARROW='--open-window 0.05'
+'${LBECTL}' search \$COMMON \$NARROW --plan '${WORK_DIR}/prep/plan.lbe' \
+    --out '${WORK_DIR}/oneshot_narrow'
+'${LBECTL}' serve \$COMMON \$NARROW --plan '${WORK_DIR}/prep/plan.lbe' \
+    --index '${WORK_DIR}/prep' --socket \"\$SOCK\" > \"\$LOG.narrow\" 2>&1 &
+SERVE_PID=\$!
+'${LBECTL}' query \$COMMON \$NARROW --plan '${WORK_DIR}/prep/plan.lbe' \
+    --socket \"\$SOCK\" --batch 10 --out '${WORK_DIR}/q4' --shutdown
+cmp '${WORK_DIR}/oneshot_narrow/psms.tsv' '${WORK_DIR}/q4/psms.tsv'
+wait \$SERVE_PID
 echo 'serve end-to-end: daemon rows byte-identical across reload + shutdown'
 ")
 

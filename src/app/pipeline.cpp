@@ -535,6 +535,8 @@ void write_reports(const std::string& out_dir, const PlanBundle& plan,
     // backends, where ranks share one address space).
     // spans_*/blocks_pruned/candidates_scored expose block-max pruning per
     // rank (index/query_work.hpp); work_units deliberately excludes them.
+    // fragment_bins counts the precursor-first window path's checks
+    // (weighted by kWindowBinCost in work_units).
     // The scheduling columns: batches_executed/stolen per *executing* rank,
     // and — when the schedule consumed cost predictions — the summed
     // predicted cost plus the relative-error summary of the Eq. 1 model per
@@ -546,19 +548,19 @@ void write_reports(const std::string& out_dir, const PlanBundle& plan,
                         "comm_messages", "comm_bytes", "peak_rss_bytes",
                         "batches_executed", "batches_stolen",
                         "predicted_cost", "pred_rel_err_mean",
-                        "pred_rel_err_p95"});
+                        "pred_rel_err_p95", "fragment_bins"});
     const auto& report = outcome.report;
 
-    // Per-index-rank fit of predicted vs observed (postings touched is what
-    // the model predicts; see search/load_model.hpp).
+    // Per-index-rank fit of predicted vs observed (filtration units —
+    // walked postings plus weighted window-path bins — are what the model
+    // predicts; see search/load_model.hpp).
     const std::size_t ranks = report.times.size();
     std::vector<std::vector<double>> predicted(ranks);
     std::vector<std::vector<double>> observed(ranks);
     for (const auto& record : report.query_costs) {
       const auto slot = static_cast<std::size_t>(record.index_rank);
       predicted[slot].push_back(record.predicted);
-      observed[slot].push_back(
-          static_cast<double>(record.work.postings_touched));
+      observed[slot].push_back(record.work.filtration_units());
     }
 
     for (std::size_t rank = 0; rank < ranks; ++rank) {
@@ -586,7 +588,8 @@ void write_reports(const std::string& out_dir, const PlanBundle& plan,
                CsvWriter::field(report.batches_stolen[rank]),
                CsvWriter::field(predicted_total),
                CsvWriter::field(fit.samples == 0 ? 0.0 : fit.mean_rel_error),
-               CsvWriter::field(fit.samples == 0 ? 0.0 : fit.p95_rel_error)});
+               CsvWriter::field(fit.samples == 0 ? 0.0 : fit.p95_rel_error),
+               CsvWriter::field(report.work[rank].fragment_bins)});
     }
   }
 

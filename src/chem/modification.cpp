@@ -8,6 +8,12 @@
 
 namespace lbe::chem {
 
+ModificationSet::ModificationSet() {
+  for (char c = 'A'; c <= 'Z'; ++c) {
+    fixed_residue_mass_[static_cast<std::size_t>(c - 'A')] = residue_mass(c);
+  }
+}
+
 ModId ModificationSet::add(Modification mod) {
   if (mod.name.empty()) {
     throw ConfigError("modification needs a name");
@@ -30,6 +36,16 @@ ModId ModificationSet::add(Modification mod) {
   if (mods_.size() >= kNoMod) {
     throw ConfigError("too many modifications (max 254)");
   }
+  if (mod.fixed) {
+    // Accumulated in modification order, as a loop over mods_ would sum.
+    for (char c = 'A'; c <= 'Z'; ++c) {
+      if (mod.applies_to(c)) {
+        const auto i = static_cast<std::size_t>(c - 'A');
+        fixed_delta_[i] += mod.delta;
+        fixed_residue_mass_[i] = residue_mass(c) + fixed_delta_[i];
+      }
+    }
+  }
   mods_.push_back(std::move(mod));
   return static_cast<ModId>(mods_.size() - 1);
 }
@@ -42,14 +58,6 @@ std::vector<ModId> ModificationSet::variable_mods_for(char c) const {
     }
   }
   return out;
-}
-
-Mass ModificationSet::fixed_delta(char c) const noexcept {
-  Mass delta = 0.0;
-  for (const auto& mod : mods_) {
-    if (mod.fixed && mod.applies_to(c)) delta += mod.delta;
-  }
-  return delta;
 }
 
 ModificationSet ModificationSet::parse(std::string_view spec) {

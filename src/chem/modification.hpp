@@ -7,6 +7,7 @@
 // engine-facing view used by the variant generator in src/digest.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -35,7 +36,7 @@ struct Modification {
 /// An ordered, immutable collection of modifications used by one search.
 class ModificationSet {
  public:
-  ModificationSet() = default;
+  ModificationSet();
 
   /// Adds a modification; throws ConfigError on duplicate name, empty
   /// residue list, or invalid residue letters. Returns its ModId.
@@ -48,8 +49,19 @@ class ModificationSet {
   /// excluded; they are applied unconditionally by mass routines).
   std::vector<ModId> variable_mods_for(char c) const;
 
-  /// Sum of fixed-modification deltas applicable to `c` (0 for none).
-  Mass fixed_delta(char c) const noexcept;
+  /// Sum of fixed-modification deltas applicable to `c` (0 for none), in
+  /// modification order. O(1): kept per residue letter as mods are added,
+  /// since every fragmenter call asks it once per residue.
+  Mass fixed_delta(char c) const noexcept {
+    if (c < 'A' || c > 'Z') return 0.0;
+    return fixed_delta_[static_cast<std::size_t>(c - 'A')];
+  }
+
+  /// residue_mass(c) + fixed_delta(c), the same sum precomputed per letter
+  /// — the fragmenter's per-residue lookup. `c` must be a residue letter.
+  Mass fixed_residue_mass(char c) const noexcept {
+    return fixed_residue_mass_[static_cast<std::size_t>(c - 'A')];
+  }
 
   /// Parses "name:delta:residues[:fixed]" triples separated by ';', e.g.
   ///   "Oxidation:15.994915:M;Deamidation:0.984016:NQ;GlyGly:114.042927:KC"
@@ -61,6 +73,8 @@ class ModificationSet {
 
  private:
   std::vector<Modification> mods_;
+  std::array<Mass, 26> fixed_delta_{};         ///< per letter 'A'..'Z'
+  std::array<Mass, 26> fixed_residue_mass_{};  ///< per letter 'A'..'Z'
 };
 
 /// One concrete modification placement on a peptide.

@@ -131,15 +131,9 @@ std::pair<Mass, Mass> ChunkedIndex::chunk_mass_range(std::size_t c) const {
 
 std::size_t ChunkedIndex::chunks_for_window(Mass query_mass,
                                             double tolerance) const {
-  if (!(tolerance < std::numeric_limits<double>::infinity())) {
-    return chunks_.size();
-  }
   std::size_t touched = 0;
-  for (const auto& chunk : chunks_) {
-    if (chunk.mass_lo - tolerance <= query_mass &&
-        query_mass <= chunk.mass_hi + tolerance) {
-      ++touched;
-    }
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (routed(c, query_mass, tolerance)) ++touched;
   }
   return touched;
 }
@@ -170,12 +164,17 @@ double prune_score_floor(const std::vector<Candidate>& out, std::size_t start,
 
 }  // namespace
 
+bool ChunkedIndex::routed(std::size_t c, Mass query_mass,
+                          double tolerance) const {
+  if (!(tolerance < std::numeric_limits<double>::infinity())) return true;
+  return !(chunks_[c].mass_lo - tolerance > query_mass ||
+           query_mass > chunks_[c].mass_hi + tolerance);
+}
+
 void ChunkedIndex::query(const chem::Spectrum& spectrum,
                          const QueryParams& params,
                          std::vector<Candidate>& out, QueryWork& work,
                          QueryArena& arena) const {
-  const bool open =
-      !(params.precursor_tolerance < std::numeric_limits<double>::infinity());
   const Mass query_mass = spectrum.precursor.neutral_mass;
   // Spans depend only on the spectrum, the tolerance, and the binning —
   // identical for every chunk (all share index_params_) — so the first
@@ -183,24 +182,45 @@ void ChunkedIndex::query(const chem::Spectrum& spectrum,
   // epoch bump in query_impl leaves arena.spans untouched).
   const std::size_t out_start = out.size();
   const bool score_prune = params.prune_blocks && params.prune_top_k > 0;
-  double score_floor = -std::numeric_limits<double>::infinity();
   bool spans_built = false;
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
-    const Chunk& chunk = chunks_[c];
-    if (!open) {
-      if (chunk.mass_lo - params.precursor_tolerance > query_mass ||
-          query_mass > chunk.mass_hi + params.precursor_tolerance) {
+    if (!routed(c, query_mass, params.precursor_tolerance)) continue;
+    const SlmIndex& index = chunk_index(c);
+    double score_floor = -std::numeric_limits<double>::infinity();
+    if (spans_built) {
+      if (score_prune) {
+        score_floor = prune_score_floor(out, out_start, params.prune_top_k,
+                                        arena.prune_scores);
+      }
+    } else {
+      index.build_spans(spectrum, params, work, arena);
+      spans_built = true;
+    }
+    // The chooser, per chunk: the cheaper of the window path and the walk
+    // by this chunk's exact counts. Both emit the same candidates; an open
+    // window always walks.
+    if (!params.open_search()) {
+      const FiltrationPlan plan = index.plan_filtration(
+          query_mass, params.precursor_tolerance, arena.spans);
+      if (plan.use_window) {
+        index.window_impl(spectrum, params, plan, out, work, arena);
         continue;
       }
     }
-    if (score_prune && spans_built) {
-      score_floor = prune_score_floor(out, out_start, params.prune_top_k,
-                                      arena.prune_scores);
-    }
-    chunk_index(c).query_impl(spectrum, params, out, work, arena,
-                              /*rebuild_spans=*/!spans_built, score_floor);
-    spans_built = true;
+    index.query_impl(spectrum, params, out, work, arena,
+                     /*rebuild_spans=*/false, score_floor);
   }
+}
+
+double ChunkedIndex::filtration_cost(std::span<const BinSpan> spans,
+                                     Mass query_mass,
+                                     double tolerance) const {
+  double cost = 0.0;
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    if (!routed(c, query_mass, tolerance)) continue;
+    cost += chunk_index(c).plan_filtration(query_mass, tolerance, spans).cost();
+  }
+  return cost;
 }
 
 void ChunkedIndex::query(const chem::Spectrum& spectrum,

@@ -72,9 +72,11 @@ class ChunkedIndex {
   /// Number of chunks a query with this precursor window would touch.
   std::size_t chunks_for_window(Mass query_mass, double tolerance) const;
 
-  /// Runs shared-peak filtration, routing to intersecting chunks only.
-  /// Thread-safe: all mutable query state lives in `arena` (one per
-  /// thread). Chunks own disjoint peptide-id subsets, so one arena serves
+  /// Runs shared-peak filtration, routing to intersecting chunks only;
+  /// each routed chunk takes the span walk or the precursor-first window
+  /// path, whichever its FiltrationPlan finds cheaper (never the window
+  /// path for an open window). Thread-safe: all mutable query state lives
+  /// in `arena` (one per thread). Chunks own disjoint peptide-id subsets, so one arena serves
   /// every chunk — each chunk's query opens a fresh scorecard epoch and
   /// emits its candidates before the next chunk runs. On a mapped index
   /// the first query into a chunk validates and binds it (IoError on
@@ -86,6 +88,14 @@ class ChunkedIndex {
   /// Convenience overload using an internal arena. NOT thread-safe.
   void query(const chem::Spectrum& spectrum, const QueryParams& params,
              std::vector<Candidate>& out, QueryWork& work) const;
+
+  /// Filtration cost of one query whose coalesced bin spans are `spans`:
+  /// summed over the chunks the precursor window routes to, the cost of
+  /// the path `query` picks for that chunk (FiltrationPlan::cost). The
+  /// Eq. 1 load model's per-query prediction. Materializes routed chunks
+  /// on a mapped index.
+  double filtration_cost(std::span<const BinSpan> spans, Mass query_mass,
+                         double tolerance) const;
 
   /// Heap bytes of every *resident* chunk index plus the peptide store.
   /// Mapped, not-yet-touched chunks cost no heap and are not counted.
@@ -151,6 +161,10 @@ class ChunkedIndex {
   /// Load-path constructor: adopts the store without building chunks.
   ChunkedIndex(PeptideStore store, const chem::ModificationSet& mods,
                const IndexParams& index_params, std::nullptr_t);
+
+  /// True when a query at `query_mass` with this precursor window must
+  /// visit chunk `c` (always, for an open window).
+  bool routed(std::size_t c, Mass query_mass, double tolerance) const;
 
   /// Marks every chunk resident (cold build / eager load).
   void publish_all_chunks() noexcept;

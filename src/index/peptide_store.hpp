@@ -79,6 +79,19 @@ class PeptideStore {
 
   Mass mass(LocalPeptideId id) const { return masses_v_[id]; }
 
+  /// Cache hints for a caller about to read `id`'s columns out of store
+  /// order (the window path walks ids in mass order): first its mass and
+  /// offsets, then — once the offsets are cached — its residues and sites.
+  void prefetch_columns(LocalPeptideId id) const noexcept {
+    __builtin_prefetch(masses_v_.data() + id);
+    __builtin_prefetch(offsets_v_.data() + id);
+    __builtin_prefetch(site_offsets_v_.data() + id);
+  }
+  void prefetch_residues(LocalPeptideId id) const noexcept {
+    __builtin_prefetch(arena_v_.data() + offsets_v_[id]);
+    __builtin_prefetch(sites_v_.data() + site_offsets_v_[id]);
+  }
+
   /// Exact heap bytes held by the store (Fig. 5 accounting). A mapped
   /// store owns no column heap — its bytes live in the file cache.
   std::uint64_t memory_bytes() const noexcept;

@@ -15,6 +15,7 @@
 
 #include "index/binning.hpp"
 #include "index/peptide_store.hpp"
+#include "theospec/fragmenter.hpp"
 
 namespace lbe::index {
 
@@ -102,7 +103,10 @@ class QueryArena {
            spans.capacity() * sizeof(BinSpan) +
            windows.capacity() * sizeof(Window) +
            decoded.capacity() * sizeof(std::uint32_t) +
-           prune_scores.capacity() * sizeof(double);
+           prune_scores.capacity() * sizeof(double) +
+           (fragments.prefix.capacity() + fragments.mzs.capacity() +
+            fragments.merge.capacity()) * sizeof(double) +
+           fragment_bins.capacity() * sizeof(MzBin);
   }
 
   /// Peptides that crossed the shared-peak threshold this query.
@@ -129,6 +133,11 @@ class QueryArena {
   /// Score scratch for ChunkedIndex's block-max pruning floor (the K-th
   /// best filter score among candidates of completed chunks).
   std::vector<double> prune_scores;
+
+  /// Window-path scratch: one in-window peptide's fragments and their
+  /// in-range bins, ascending (SlmIndex::fragment_bins).
+  theospec::FragmentScratch fragments;
+  std::vector<MzBin> fragment_bins;
 
   /// Candidate buffer reused by QueryEngine between queries.
   std::vector<Candidate> candidates;

@@ -72,8 +72,10 @@ inline constexpr std::uint32_t kMagic = 0x5845424Cu;
 /// codec block) to each chunk's arrays payload, so the span walk can skip
 /// blocks that cannot contribute a reportable candidate (block-max
 /// pruning); bounds are validated at parse and bound in both eager and
-/// mapped loads.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// mapped loads. Version 6 appends each chunk's peptide ids in (precursor
+/// mass, id) order, which the precursor-first window path binary-searches;
+/// parse rejects out-of-range ids and any break in the strict order.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// What a stream claims to contain; read_header rejects mismatches so a
 /// rank file can never be mistaken for a manifest.

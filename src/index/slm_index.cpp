@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <istream>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 
@@ -26,16 +25,28 @@ SlmIndex::SlmIndex(const PeptideStore& store,
                    std::span<const LocalPeptideId> subset)
     : store_(&store), mods_(&mods), params_(params),
       binning_(params.binning()) {
-  // Materialize the id list: empty subset means "all".
-  std::vector<LocalPeptideId> ids;
+  // The id list in (mass, id) order: empty subset means "all". ChunkedIndex
+  // passes slices of ids_by_mass(), which are already in order.
+  const auto mass_order = [&store](LocalPeptideId a, LocalPeptideId b) {
+    const Mass ma = store.mass(a);
+    const Mass mb = store.mass(b);
+    if (ma != mb) return ma < mb;
+    return a < b;
+  };
   if (subset.empty()) {
-    ids.resize(store.size());
-    std::iota(ids.begin(), ids.end(), LocalPeptideId{0});
+    order_storage_ = store.ids_by_mass();
   } else {
-    ids.assign(subset.begin(), subset.end());
-    for (const LocalPeptideId id : ids) {
+    order_storage_.assign(subset.begin(), subset.end());
+    for (const LocalPeptideId id : order_storage_) {
       LBE_CHECK(id < store.size(), "subset id out of range");
     }
+    if (!std::is_sorted(order_storage_.begin(), order_storage_.end(),
+                        mass_order)) {
+      std::sort(order_storage_.begin(), order_storage_.end(), mass_order);
+    }
+    LBE_CHECK(std::adjacent_find(order_storage_.begin(),
+                                 order_storage_.end()) == order_storage_.end(),
+              "duplicate subset id");
   }
 
   // Pass 1: count postings per bin. (bin, id) pairs are never materialized;
@@ -44,16 +55,11 @@ SlmIndex::SlmIndex(const PeptideStore& store,
   // discussion is about engines that do materialize).
   const MzBin num_bins = binning_.num_bins();
   std::vector<std::uint64_t> counts(num_bins, 0);
-  auto for_each_fragment = [&](LocalPeptideId id, auto&& fn) {
-    const chem::Peptide peptide = store_->materialize(id);
-    for (const auto& fragment :
-         theospec::fragment_peptide(peptide, *mods_, params_.fragments)) {
-      if (!binning_.in_range(fragment.mz)) continue;
-      fn(binning_.bin(fragment.mz));
-    }
-  };
-  for (const LocalPeptideId id : ids) {
-    for_each_fragment(id, [&](MzBin bin) { ++counts[bin]; });
+  theospec::FragmentScratch scratch;
+  std::vector<MzBin> bins;
+  for (const LocalPeptideId id : order_storage_) {
+    fragment_bins(id, scratch, bins);
+    for (const MzBin bin : bins) ++counts[bin];
   }
 
   std::uint64_t running = 0;
@@ -70,32 +76,30 @@ SlmIndex::SlmIndex(const PeptideStore& store,
   }
   bin_offsets_storage_[num_bins] = offset;
 
-  // Pass 2: fill postings via per-bin write cursors.
+  // Pass 2: fill postings via per-bin write cursors. Ids arrive in (mass,
+  // id) order, so every bin fills in the Fig. 1 secondary order directly.
   postings_storage_.assign(offset, 0);
   std::vector<std::uint32_t> cursor(bin_offsets_storage_.begin(),
                                     bin_offsets_storage_.end() - 1);
-  for (const LocalPeptideId id : ids) {
-    for_each_fragment(
-        id, [&](MzBin bin) { postings_storage_[cursor[bin]++] = id; });
-  }
-
-  // Secondary order inside each bin: parent precursor mass, then id — the
-  // Fig. 1 sort that keeps precursor-window scans contiguous. Iterating ids
-  // in input order already yields id order; re-sort by (mass, id).
-  for (MzBin b = 0; b < num_bins; ++b) {
-    const auto begin = postings_storage_.begin() +
-                       static_cast<std::ptrdiff_t>(bin_offsets_storage_[b]);
-    const auto end = postings_storage_.begin() +
-                     static_cast<std::ptrdiff_t>(bin_offsets_storage_[b + 1]);
-    std::sort(begin, end, [this](LocalPeptideId a, LocalPeptideId b2) {
-      const Mass ma = store_->mass(a);
-      const Mass mb = store_->mass(b2);
-      if (ma != mb) return ma < mb;
-      return a < b2;
-    });
+  for (const LocalPeptideId id : order_storage_) {
+    fragment_bins(id, scratch, bins);
+    for (const MzBin bin : bins) postings_storage_[cursor[bin]++] = id;
   }
   compute_block_bounds();
   bind_owned();
+}
+
+void SlmIndex::fragment_bins(LocalPeptideId id,
+                             theospec::FragmentScratch& scratch,
+                             std::vector<MzBin>& bins) const {
+  const PeptideView view = store_->view(id);
+  theospec::fragment_mzs(view.sequence,
+                         std::span(view.sites, view.site_count), *mods_,
+                         params_.fragments, scratch);
+  bins.clear();
+  for (const Mz mz : scratch.mzs) {
+    if (binning_.in_range(mz)) bins.push_back(binning_.bin(mz));
+  }
 }
 
 void SlmIndex::bind_owned() noexcept {
@@ -103,6 +107,7 @@ void SlmIndex::bind_owned() noexcept {
   postings_ = postings_storage_;
   posting_count_ = postings_storage_.size();
   bounds_ = bounds_storage_;
+  order_ = order_storage_;
 }
 
 void SlmIndex::compute_block_bounds() {
@@ -421,6 +426,103 @@ void SlmIndex::query(const chem::Spectrum& spectrum,
   query(spectrum, params, out, work, internal_arena_);
 }
 
+FiltrationPlan SlmIndex::plan_filtration(Mass query_mass,
+                                         double precursor_tolerance,
+                                         std::span<const BinSpan> spans) const {
+  FiltrationPlan plan;
+  for (const BinSpan& span : spans) {
+    plan.span_postings += bin_offsets_[span.hi] - bin_offsets_[span.lo];
+  }
+  if (!(precursor_tolerance < std::numeric_limits<double>::infinity()) ||
+      order_.empty()) {
+    return plan;
+  }
+  // Widen the bounds by a few ulps so rounding in `q ± tol` can only grow
+  // the range; the window path applies the exact emit predicate
+  // |mass - q| <= tol to every peptide in it.
+  const double slack = (std::abs(query_mass) + precursor_tolerance) * 4.0 *
+                       std::numeric_limits<double>::epsilon();
+  const double lo = query_mass - precursor_tolerance - slack;
+  const double hi = query_mass + precursor_tolerance + slack;
+  const auto first = std::lower_bound(
+      order_.begin(), order_.end(), lo,
+      [this](LocalPeptideId id, double mass) { return store_->mass(id) < mass; });
+  const auto last = std::upper_bound(
+      first, order_.end(), hi,
+      [this](double mass, LocalPeptideId id) { return mass < store_->mass(id); });
+  plan.window_begin = static_cast<std::uint32_t>(first - order_.begin());
+  plan.window_end = static_cast<std::uint32_t>(last - order_.begin());
+  plan.window_bins = static_cast<double>(plan.window_end - plan.window_begin) *
+                     static_cast<double>(posting_count_) /
+                     static_cast<double>(order_.size());
+  plan.use_window = kWindowBinCost * plan.window_bins <
+                    static_cast<double>(plan.span_postings);
+  return plan;
+}
+
+void SlmIndex::query_window(const chem::Spectrum& spectrum,
+                            const QueryParams& params,
+                            std::vector<Candidate>& out, QueryWork& work,
+                            QueryArena& arena) const {
+  LBE_CHECK(!params.open_search(), "the window path needs a finite window");
+  build_spans(spectrum, params, work, arena);
+  const FiltrationPlan plan = plan_filtration(
+      spectrum.precursor.neutral_mass, params.precursor_tolerance, arena.spans);
+  window_impl(spectrum, params, plan, out, work, arena);
+}
+
+void SlmIndex::window_impl(const chem::Spectrum& spectrum,
+                           const QueryParams& params,
+                           const FiltrationPlan& plan,
+                           std::vector<Candidate>& out, QueryWork& work,
+                           QueryArena& arena) const {
+  const std::uint32_t threshold = std::max<std::uint32_t>(
+      1, params.shared_peak_min);
+  const Mass query_mass = spectrum.precursor.neutral_mass;
+  const std::span<const BinSpan> spans = arena.spans;
+  if (spans.empty()) return;
+  // In-window ids are contiguous in the mass order but scattered over the
+  // store's columns, so their reads are prefetched a few peptides ahead.
+  constexpr std::uint32_t kAhead = 4;
+  for (std::uint32_t i = plan.window_begin; i < plan.window_end; ++i) {
+    if (i + 2 * kAhead < plan.window_end) {
+      store_->prefetch_columns(order_[i + 2 * kAhead]);
+    }
+    if (i + kAhead < plan.window_end) {
+      store_->prefetch_residues(order_[i + kAhead]);
+    }
+    const LocalPeptideId pep = order_[i];
+    // The walk's emit-time precursor filter, verbatim.
+    if (std::abs(store_->mass(pep) - query_mass) >
+        params.precursor_tolerance) {
+      continue;
+    }
+    fragment_bins(pep, arena.fragments, arena.fragment_bins);
+    work.fragment_bins += arena.fragment_bins.size();
+    // Two-pointer merge of the ascending bins against the ascending,
+    // disjoint spans. Each bin inside a span is one posting the walk would
+    // touch, and the walk visits a peptide's postings in ascending bin
+    // order — so the float sum below adds the same terms in the same order.
+    std::uint32_t count = 0;
+    float intensity = 0.0f;
+    std::size_t s = 0;
+    for (const MzBin bin : arena.fragment_bins) {
+      while (spans[s].hi <= bin) {
+        if (++s == spans.size()) break;
+      }
+      if (s == spans.size()) break;
+      if (bin >= spans[s].lo) {
+        count += spans[s].multiplicity;
+        intensity += spans[s].intensity;
+      }
+    }
+    if (count >= threshold) {
+      out.push_back(Candidate{pep, count, intensity});
+      ++work.candidates;
+    }
+  }
+}
+
 void SlmIndex::query_reference(const chem::Spectrum& spectrum,
                                const QueryParams& params,
                                std::vector<Candidate>& out, QueryWork& work,
@@ -485,6 +587,7 @@ std::uint64_t SlmIndex::memory_bytes() const noexcept {
          postings_storage_.capacity() * sizeof(LocalPeptideId) +
          blocks_storage_.capacity() * sizeof(codec::BlockMeta) +
          bounds_storage_.capacity() * sizeof(BlockBound) +
+         order_storage_.capacity() * sizeof(LocalPeptideId) +
          packed_storage_.capacity() + internal_arena_.memory_bytes();
 }
 
@@ -542,7 +645,8 @@ std::uint64_t SlmIndex::arrays_payload_size() const {
   return 32 + padded8(bin_offsets_.size() * sizeof(std::uint32_t)) +
          padded8(blocks_.size() * sizeof(codec::BlockMeta)) +
          padded8(packed_.size()) +
-         padded8(bounds_.size() * sizeof(BlockBound));
+         padded8(bounds_.size() * sizeof(BlockBound)) + 8 +
+         padded8(order_.size() * sizeof(LocalPeptideId));
 }
 
 std::uint32_t SlmIndex::arrays_payload_crc() const {
@@ -561,6 +665,10 @@ std::uint32_t SlmIndex::arrays_payload_crc() const {
   bin::crc32_padded(packed_.data(), packed_.size(), cursor, crc);
   bin::crc32_padded(bounds_.data(),
                     bounds_.size() * sizeof(BlockBound), cursor, crc);
+  const std::uint64_t order_count = order_.size();
+  bin::crc32_padded(&order_count, sizeof(order_count), cursor, crc);
+  bin::crc32_padded(order_.data(), order_.size() * sizeof(LocalPeptideId),
+                    cursor, crc);
   return crc;
 }
 
@@ -581,6 +689,10 @@ void SlmIndex::write_arrays_payload(std::ostream& out) const {
   bin::write_padded(out, packed_.data(), packed_.size(), cursor);
   bin::write_padded(out, bounds_.data(),
                     bounds_.size() * sizeof(BlockBound), cursor);
+  bin::write_pod(out, static_cast<std::uint64_t>(order_.size()));
+  cursor += 8;
+  bin::write_padded(out, order_.data(),
+                    order_.size() * sizeof(LocalPeptideId), cursor);
 }
 
 SlmIndex SlmIndex::parse_arrays_payload(
@@ -610,6 +722,12 @@ SlmIndex SlmIndex::parse_arrays_payload(
   const auto bounds_view = payload.view_array<BlockBound>(
       static_cast<std::size_t>(block_count));
   payload.align();
+  // v6: the built-over ids in (mass, id) order, for the window path.
+  const auto order_count = payload.read_pod<std::uint64_t>();
+  sz::require(order_count <= store.size(), "implausible mass-order count");
+  const auto order_view = payload.view_array<LocalPeptideId>(
+      static_cast<std::size_t>(order_count));
+  payload.align();
 
   // Structural validation before any decode: the block directory must
   // tile the packed stream exactly and carry only legal encodings, and
@@ -625,6 +743,20 @@ SlmIndex SlmIndex::parse_arrays_payload(
     sz::require(bound.max_frags >= 1 && bound.max_frags <= postings_count,
                 "implausible block fragment bound");
   }
+  // The window path binary-searches the order and reads store columns by
+  // its ids: every id must be in range and (mass, id) strictly increasing,
+  // which also rules out duplicates.
+  for (std::size_t i = 0; i < order_view.size(); ++i) {
+    const LocalPeptideId id = order_view[i];
+    sz::require(id < store.size(), "mass-order id out of range");
+    if (i > 0) {
+      const LocalPeptideId prev = order_view[i - 1];
+      const Mass prev_mass = store.mass(prev);
+      const Mass mass = store.mass(id);
+      sz::require(prev_mass < mass || (prev_mass == mass && prev < id),
+                  "mass order not strictly increasing");
+    }
+  }
 
   SlmIndex index(store, mods, params, nullptr);
   if (keepalive != nullptr) {
@@ -632,6 +764,7 @@ SlmIndex SlmIndex::parse_arrays_payload(
     index.blocks_ = blocks_view;
     index.packed_ = packed_view;
     index.bounds_ = bounds_view;
+    index.order_ = order_view;
     index.posting_count_ = postings_count;
     index.packed_mode_ = true;
     index.packed_cached_ = true;
@@ -642,6 +775,7 @@ SlmIndex SlmIndex::parse_arrays_payload(
     index.bin_offsets_storage_.assign(offsets_view.begin(),
                                       offsets_view.end());
     index.bounds_storage_.assign(bounds_view.begin(), bounds_view.end());
+    index.order_storage_.assign(order_view.begin(), order_view.end());
     index.postings_storage_.resize(
         static_cast<std::size_t>(block_count) * codec::kBlockValues);
     codec::decode_blocks(blocks_view, packed_view, postings_count, 0,

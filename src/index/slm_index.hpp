@@ -2,17 +2,33 @@
 //
 // Build: every stored peptide is fragmented (b/y ions), each fragment m/z is
 // quantized (see Binning), and a CSR structure maps bin -> postings (local
-// peptide ids). Within a bin, postings are ordered by parent precursor mass
-// then id — the secondary sort the paper's Fig. 1 describes, which makes
-// precursor-window scans over a bin contiguous.
+// peptide ids). Peptides are fed to the build in (precursor mass, id)
+// order, so within a bin the postings already follow that order — the
+// secondary sort the paper's Fig. 1 describes, which makes
+// precursor-window scans over a bin contiguous. The index keeps that
+// order (`ids_by_mass`, persisted since format v6).
 //
 // Query: the query's peak tolerance windows are swept into coalesced bin
-// spans (each span = a run of consecutive bins covered by the same peaks),
-// and every span's contiguous postings slice is walked exactly once,
-// bumping the epoch-stamped per-peptide scorecard by the span's peak
-// multiplicity. Peptides reaching the shared-peak threshold become
-// candidate PSMs (cPSMs). All mutable query state lives in a caller-owned
-// QueryArena, so one index serves any number of threads concurrently.
+// spans (each span = a run of consecutive bins covered by the same peaks).
+// Two filtration paths then produce the same candidates:
+//  - the span walk (`query`) walks every span's contiguous postings slice
+//    once, bumping the epoch-stamped per-peptide scorecard by the span's
+//    peak multiplicity; peptides reaching the shared-peak threshold become
+//    candidate PSMs (cPSMs), and a finite precursor window filters them at
+//    emit time;
+//  - the precursor-first window path (`query_window`, finite windows only)
+//    binary-searches the mass order for the precursor window, regenerates
+//    each in-window peptide's fragment bins and merges them against the
+//    spans — the classic OMSSA order. It adds the same span intensities in
+//    the same ascending-bin order the walk does, so its candidates are
+//    bit-identical to the walk's for any intensities.
+// `plan_filtration` is the chooser: per query (and, in ChunkedIndex, per
+// chunk) it compares the walk's span postings against the window path's
+// estimated fragment bins weighted by kWindowBinCost, from exact counts
+// (span postings from the bin offsets, in-window peptides from the binary
+// search). An open window (ΔM = ∞) always walks. All mutable query state
+// lives in a caller-owned QueryArena, so one index serves any number of
+// threads concurrently.
 #pragma once
 
 #include <cmath>
@@ -115,6 +131,29 @@ struct Candidate {
   float matched_intensity;
 };
 
+/// The chooser's inputs and verdict for one query against one index.
+struct FiltrationPlan {
+  /// Positions [window_begin, window_end) of ids_by_mass() whose mass may
+  /// lie in the precursor window (a superset, widened by a few ulps; the
+  /// exact predicate runs per peptide). Empty for an open window.
+  std::uint32_t window_begin = 0;
+  std::uint32_t window_end = 0;
+  /// Estimated fragment bins the window path would check: in-window
+  /// peptides times the index's mean in-range fragments per peptide.
+  double window_bins = 0.0;
+  /// Postings the span walk would walk: sum of the spans' bin slices.
+  std::uint64_t span_postings = 0;
+  /// True when the window path is the cheaper one (never for open search).
+  bool use_window = false;
+
+  /// The chosen path's cost in filtration units (QueryWork::
+  /// filtration_units terms), the Eq. 1 prediction for this index.
+  double cost() const {
+    return use_window ? kWindowBinCost * window_bins
+                      : static_cast<double>(span_postings);
+  }
+};
+
 class SlmIndex {
  public:
   /// Builds over all entries of `store` (which must outlive the index).
@@ -171,6 +210,25 @@ class SlmIndex {
   void query(const chem::Spectrum& spectrum, const QueryParams& params,
              std::vector<Candidate>& out, QueryWork& work) const;
 
+  /// Precursor-first filtration of one query (finite precursor window
+  /// only): emits exactly the candidates `query` emits — same peptides,
+  /// shared-peak counts and bit-identical matched intensities — in mass
+  /// order instead of threshold-crossing order. Thread-safe like `query`.
+  void query_window(const chem::Spectrum& spectrum, const QueryParams& params,
+                    std::vector<Candidate>& out, QueryWork& work,
+                    QueryArena& arena) const;
+
+  /// The chooser: locates the precursor window in the mass order and
+  /// weighs the window path against the span walk over `spans` (the
+  /// query's coalesced spans, e.g. arena.spans after a span build).
+  FiltrationPlan plan_filtration(Mass query_mass, double precursor_tolerance,
+                                 std::span<const BinSpan> spans) const;
+
+  /// The ids this index was built over, ascending by (precursor mass, id).
+  std::span<const LocalPeptideId> ids_by_mass() const noexcept {
+    return order_;
+  }
+
   /// The pre-batching filtration walk (one pass per peak per bin), kept as
   /// the equivalence oracle for the batched path and as the baseline the
   /// micro_kernels filtration speedup is measured against. Candidate order
@@ -219,7 +277,7 @@ class SlmIndex {
   /// Points the spans at the owned storage vectors.
   void bind_owned() noexcept;
 
-  // Raw transformed-array payload (format v5, no framing): what `save`
+  // Raw transformed-array payload (format v6, no framing): what `save`
   // wraps in a checksummed raw section and ChunkedIndex records per chunk
   // in its directory. Layout, starting 8-aligned:
   //   [bin_offset_count u64][posting_count u64]
@@ -228,6 +286,8 @@ class SlmIndex {
   //   blocks      codec::BlockMeta[] (16 B each, inherently 8-aligned)
   //   packed posting stream bytes,   zero-padded to 8
   //   bounds      BlockBound[block_count] (16 B each, v5)
+  //   [order_count u64]
+  //   order       LocalPeptideId[order_count], zero-padded to 8 (v6)
   // Size and CRC are computable without materializing the payload (the
   // pack runs once and is cached), so the chunk directory — which
   // precedes the payloads — can be written first.
@@ -277,6 +337,17 @@ class SlmIndex {
   void build_spans(const chem::Spectrum& spectrum, const QueryParams& params,
                    QueryWork& work, QueryArena& arena) const;
 
+  /// The window path over a planned mass-order range, matching against
+  /// arena.spans as they stand.
+  void window_impl(const chem::Spectrum& spectrum, const QueryParams& params,
+                   const FiltrationPlan& plan, std::vector<Candidate>& out,
+                   QueryWork& work, QueryArena& arena) const;
+
+  /// In-range fragment bins of `id`, ascending, into `bins` — the one
+  /// fragmenter both build passes and the window path use.
+  void fragment_bins(LocalPeptideId id, theospec::FragmentScratch& scratch,
+                     std::vector<MzBin>& bins) const;
+
   void emit_candidates(const chem::Spectrum& spectrum,
                        const QueryParams& params, std::vector<Candidate>& out,
                        QueryWork& work, QueryArena& arena) const;
@@ -314,6 +385,9 @@ class SlmIndex {
   // validated) from v5 payloads; mapped loads bind the span in place.
   std::span<const BlockBound> bounds_;
   std::vector<BlockBound> bounds_storage_;
+  // The built-over ids in (mass, id) order (v6); mapped loads bind in place.
+  std::span<const LocalPeptideId> order_;
+  std::vector<LocalPeptideId> order_storage_;
   std::uint64_t posting_count_ = 0;
   bool packed_mode_ = false;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -11,9 +12,11 @@ QueryCostModel::QueryCostModel(const index::ChunkedIndex& index,
                                const index::QueryParams& filter,
                                const PreprocessParams& preprocess)
     : binning_(index.index_params().binning()),
+      index_(&index),
       // Prefix sums let each coalesced bin span be summed in O(1); the
       // index caches them so construction is O(1) after the first model.
       prefix_(&index.occupancy_prefix()),
+      precursor_tolerance_(filter.precursor_tolerance),
       preprocess_(preprocess) {
   tol_bins_ = binning_.tolerance_bins(filter.fragment_tolerance);
 }
@@ -46,20 +49,36 @@ double QueryCostModel::predict(const chem::Spectrum& raw) const {
   if (!std::is_sorted(windows.begin(), windows.end())) {
     std::sort(windows.begin(), windows.end());
   }
+  const bool open =
+      !(precursor_tolerance_ < std::numeric_limits<double>::infinity());
   double predicted = 0.0;
+  std::vector<index::BinSpan> spans;
+  const auto flush = [&](index::MzBin lo, index::MzBin hi) {
+    if (open) {
+      predicted += static_cast<double>(prefix[hi] - prefix[lo]);
+    } else if (lo < hi) {
+      spans.push_back(index::BinSpan{lo, hi, 1, 0.0f});
+    }
+  };
   index::MzBin span_lo = 0;
   index::MzBin span_hi = 0;  // exclusive; empty when span_lo == span_hi
   for (const auto& [lo, hi] : windows) {
     if (lo > span_hi) {  // disjoint: flush the current merged span
-      predicted += static_cast<double>(prefix[span_hi] - prefix[span_lo]);
+      flush(span_lo, span_hi);
       span_lo = lo;
       span_hi = hi;
     } else {
       span_hi = std::max(span_hi, hi);
     }
   }
-  predicted += static_cast<double>(prefix[span_hi] - prefix[span_lo]);
-  return predicted;
+  flush(span_lo, span_hi);
+  if (open) return predicted;
+  // A finite window routes to some chunks only, and each routed chunk
+  // runs the cheaper of the walk and the window path: predict exactly
+  // that choice (the walk's postings over merged spans equal those over
+  // the engine's constant-coverage spans, which tile the same bins).
+  return index_->filtration_cost(spans, query.precursor.neutral_mass,
+                                 precursor_tolerance_);
 }
 
 double predict_query_cost(const index::ChunkedIndex& index,

@@ -1,19 +1,24 @@
 // Query-load prediction — the paper's future-work "load-predicting model".
 //
-// The query phase's dominant cost is postings traffic: the engine merges
+// The query phase's dominant cost is filtration traffic: the engine merges
 // the query peaks' fragment-tolerance windows into coalesced bin spans and
-// walks every posting of each span exactly once (SlmIndex::build_spans).
-// That quantity is computable from the index's bin-occupancy histogram and
-// the query peak positions alone — no scorecard pass needed — so a master
-// can estimate per-rank query cost before any query runs, and (with the
-// Weighted policy) size partitions to heterogeneous rank speeds. The model
-// performs the same window merge: summing per-peak windows independently
-// would double-count overlap bins and overestimate dense spectra.
+// either walks every posting of each span exactly once
+// (SlmIndex::build_spans), or — for a finite precursor window, where it is
+// cheaper — checks the in-window peptides' fragment bins against the spans
+// (the precursor-first window path). Both quantities are computable from
+// the index's bin offsets, its mass order and the query alone — no
+// scorecard pass needed — so a master can estimate per-rank query cost
+// before any query runs, and (with the Weighted policy) size partitions to
+// heterogeneous rank speeds. The model performs the same window merge:
+// summing per-peak windows independently would double-count overlap bins
+// and overestimate dense spectra, and it applies the engine's per-chunk
+// path chooser, so it predicts the path that actually runs.
 //
-// The prediction is exact for the postings the engine walks and a
-// lower-order approximation of total cost (it ignores the per-candidate
-// term), so its correlation with measured work is high but deliberately
-// not 1.0.
+// The prediction is exact for the postings the engine walks, estimates
+// the window path's fragment bins from the chunk's mean fragments per
+// peptide, and is a lower-order approximation of total cost (it ignores
+// the per-candidate term), so its correlation with measured work is high
+// but deliberately not 1.0.
 //
 // QueryCostModel is the per-index form the scheduling layer uses: build the
 // occupancy prefix sums once, then predict per query — the per-query
@@ -42,14 +47,19 @@ class QueryCostModel {
                  const index::QueryParams& filter,
                  const PreprocessParams& preprocess);
 
-  /// Predicted postings traffic for one *raw* query spectrum
-  /// (preprocessing applied internally, same as the engine).
+  /// Predicted filtration traffic for one *raw* query spectrum
+  /// (preprocessing applied internally, same as the engine), in
+  /// QueryWork::filtration_units: span postings for an open window; for a
+  /// finite one, per routed chunk the cost of the path the chunk's
+  /// chooser picks (ChunkedIndex::filtration_cost).
   double predict(const chem::Spectrum& raw) const;
 
  private:
   index::Binning binning_;
+  const index::ChunkedIndex* index_ = nullptr;
   /// The index's occupancy prefix sums, size bins+1 (not owned).
   const std::vector<std::uint64_t>* prefix_ = nullptr;
+  double precursor_tolerance_ = 0.0;
   index::MzBin tol_bins_ = 0;
   PreprocessParams preprocess_;
 };

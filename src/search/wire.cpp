@@ -115,6 +115,7 @@ void write_query_work(mpi::ByteWriter& writer, const index::QueryWork& work) {
   writer.pod(work.blocks_walked);
   writer.pod(work.blocks_pruned);
   writer.pod(work.candidates_scored);
+  writer.pod(work.fragment_bins);
 }
 
 index::QueryWork read_query_work(mpi::ByteReader& reader) {
@@ -128,6 +129,7 @@ index::QueryWork read_query_work(mpi::ByteReader& reader) {
   work.blocks_walked = reader.pod<std::uint64_t>();
   work.blocks_pruned = reader.pod<std::uint64_t>();
   work.candidates_scored = reader.pod<std::uint64_t>();
+  work.fragment_bins = reader.pod<std::uint64_t>();
   return work;
 }
 
@@ -216,15 +218,7 @@ mpi::Bytes encode_rank_stats(const RankStats& stats) {
   writer.pod(stats.times.query_start);
   writer.pod(stats.times.query_done);
   writer.pod(stats.times.finish);
-  writer.pod(stats.work.peaks_processed);
-  writer.pod(stats.work.bins_visited);
-  writer.pod(stats.work.postings_touched);
-  writer.pod(stats.work.candidates);
-  writer.pod(stats.work.spans_walked);
-  writer.pod(stats.work.spans_pruned);
-  writer.pod(stats.work.blocks_walked);
-  writer.pod(stats.work.blocks_pruned);
-  writer.pod(stats.work.candidates_scored);
+  write_query_work(writer, stats.work);
   writer.pod(stats.index_bytes);
   writer.pod(stats.index_entries);
   writer.pod(stats.batches_executed);
@@ -293,15 +287,7 @@ RankStats decode_rank_stats(const mpi::Bytes& payload) {
   stats.times.query_start = reader.pod<double>();
   stats.times.query_done = reader.pod<double>();
   stats.times.finish = reader.pod<double>();
-  stats.work.peaks_processed = reader.pod<std::uint64_t>();
-  stats.work.bins_visited = reader.pod<std::uint64_t>();
-  stats.work.postings_touched = reader.pod<std::uint64_t>();
-  stats.work.candidates = reader.pod<std::uint64_t>();
-  stats.work.spans_walked = reader.pod<std::uint64_t>();
-  stats.work.spans_pruned = reader.pod<std::uint64_t>();
-  stats.work.blocks_walked = reader.pod<std::uint64_t>();
-  stats.work.blocks_pruned = reader.pod<std::uint64_t>();
-  stats.work.candidates_scored = reader.pod<std::uint64_t>();
+  stats.work = read_query_work(reader);
   stats.index_bytes = reader.pod<std::uint64_t>();
   stats.index_entries = reader.pod<std::uint64_t>();
   stats.batches_executed = reader.pod<std::uint64_t>();

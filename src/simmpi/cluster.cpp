@@ -46,20 +46,24 @@ double Cluster::makespan() const {
   return best;
 }
 
+double Cluster::now() const {
+  if (options_.clock) return options_.clock();
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 void Cluster::meter_locked(int rank) {
   auto& r = ranks_[static_cast<std::size_t>(rank)];
   if (options_.measured_time && serialize_) {
-    const auto now = std::chrono::steady_clock::now();
-    const double elapsed =
-        std::chrono::duration<double>(now - r.slice_start).count();
-    r.vclock += elapsed * r.slowdown;
-    r.slice_start = now;
+    const double t = now();
+    r.vclock += (t - r.slice_start) * r.slowdown;
+    r.slice_start = t;
   }
 }
 
 void Cluster::resume_slice_locked(int rank) {
-  ranks_[static_cast<std::size_t>(rank)].slice_start =
-      std::chrono::steady_clock::now();
+  ranks_[static_cast<std::size_t>(rank)].slice_start = now();
 }
 
 bool Cluster::matches_locked(const Envelope& env, int src, int tag) const {
@@ -170,7 +174,7 @@ void Cluster::run(const std::function<void(Comm&)>& rank_main) {
       rank.mailbox.clear();
       rank.want_src = kAnySource;
       rank.want_tag = kAnyTag;
-      rank.slice_start = std::chrono::steady_clock::now();
+      rank.slice_start = now();
     }
   }
 

@@ -77,6 +77,9 @@ struct ClusterOptions {
   std::vector<double> slowdown;
   /// Meter real wall time of compute sections into virtual clocks.
   bool measured_time = true;
+  /// Time source of that metering, in seconds; empty = the monotonic
+  /// steady clock. Tests inject a fake clock to make metered time exact.
+  std::function<double()> clock;
   FaultInjection faults;
 };
 
@@ -147,8 +150,11 @@ class Cluster final : public Transport {
     int want_src = kAnySource;  ///< valid while kBlocked
     int want_tag = kAnyTag;
     RankReport report;
-    std::chrono::steady_clock::time_point slice_start;
+    double slice_start = 0.0;  ///< now() when the current slice began
   };
+
+  /// Seconds on options_.clock (or the steady clock).
+  double now() const;
 
   // All private methods below require mutex_ held.
   void meter_locked(int rank);

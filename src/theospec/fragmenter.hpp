@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "chem/modification.hpp"
@@ -38,6 +40,26 @@ struct Fragment {
 std::vector<Fragment> fragment_peptide(const chem::Peptide& peptide,
                                        const chem::ModificationSet& mods,
                                        const FragmentParams& params);
+
+/// Reusable buffers of `fragment_mzs`; once warm, calls allocate nothing.
+struct FragmentScratch {
+  std::vector<Mass> prefix;  ///< residue-delta prefix sums
+  std::vector<Mz> mzs;       ///< the output: fragment m/z, ascending
+  std::vector<Mz> merge;     ///< merge buffer
+};
+
+/// The allocation-free fragmenter: every fragment m/z `fragment_peptide`
+/// yields for the residues `sequence` carrying the variable-modification
+/// `sites` (sorted by position), written ascending into scratch.mzs with
+/// the same arithmetic, so the values are bit-identical. Each ion series
+/// at each charge is generated as an ascending run and the runs are
+/// merged, so no per-call sort is needed. The index build and the
+/// precursor-first query path both fragment through this function, which
+/// is what makes the two filtration paths agree bin for bin.
+void fragment_mzs(std::string_view sequence,
+                  std::span<const chem::ModSite> sites,
+                  const chem::ModificationSet& mods,
+                  const FragmentParams& params, FragmentScratch& scratch);
 
 /// Convenience: builds the theoretical Spectrum (unit intensities) used for
 /// indexing; same fragments as `fragment_peptide`.

@@ -6,6 +6,7 @@
 // touch, never a silently different result.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -202,12 +203,13 @@ TEST_F(MmapIndexTest, EveryFlippedBitFailsAtMapOrFirstTouch) {
 }
 
 TEST_F(MmapIndexTest, PackedExtentBitFlipFailsAtFirstTouch) {
-  // A v4 chunk payload ends with its bit-packed posting stream, so the
-  // file's trailing bytes sit inside the last chunk's packed extent (or
-  // its checksummed padding). Flipping them must leave the map itself
-  // clean — header, directory and store metadata are untouched — and
-  // surface as IoError exactly when the lazy first touch materializes
-  // (and checksums) that chunk, never as a quietly different decode.
+  // The file's trailing bytes belong to the last chunk's payload: its v6
+  // mass order, its v5 block bounds and, further back, its bit-packed
+  // posting stream (or their checksummed padding). Flipping them must
+  // leave the map itself clean — header, directory and store metadata are
+  // untouched — and surface as IoError exactly when the lazy first touch
+  // materializes (and checksums) that chunk, never as a quietly different
+  // decode.
   const std::string path = save_chunked("mmap_packed_flip.idx");
   std::string bytes;
   {
@@ -221,7 +223,7 @@ TEST_F(MmapIndexTest, PackedExtentBitFlipFailsAtFirstTouch) {
   QueryParams open_filter;
   open_filter.shared_peak_min = 1;
   const auto spectrum = theo("PEPTIDEK");
-  for (std::size_t back = 1; back <= 24; ++back) {
+  for (std::size_t back = 1; back <= 96; ++back) {
     std::string corrupt = bytes;
     corrupt[corrupt.size() - back] =
         static_cast<char>(corrupt[corrupt.size() - back] ^ 0x04);
@@ -245,6 +247,101 @@ TEST_F(MmapIndexTest, PackedExtentBitFlipFailsAtFirstTouch) {
         IoError)
         << "flip " << back << " bytes from EOF went undetected";
   }
+  fs::remove(corrupt_path);
+}
+
+// Format v6: a mapped chunk's mass order is validated when the chunk is
+// first touched. Each corruption keeps every checksum valid (the chunk
+// directory entry and the directory section are re-sealed), so only the
+// structural validation can catch it.
+TEST_F(MmapIndexTest, CorruptMassOrderFailsAtFirstTouch) {
+  const std::string path = save_chunked("mmap_order.idx");
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  // The chunk directory: three 40-byte entries behind a raw-section frame.
+  constexpr std::size_t kEntry = 40;
+  std::size_t dir = 0;
+  for (std::size_t p = 16; p + 3 * kEntry <= bytes.size(); p += 8) {
+    std::uint32_t tag = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&tag, bytes.data() + p - 16, sizeof(tag));
+    std::memcpy(&size, bytes.data() + p - 12, sizeof(size));
+    if (tag == serialize::kSecChunkDir && size == 3 * kEntry) {
+      dir = p;
+      break;
+    }
+  }
+  ASSERT_NE(dir, 0u);
+  const std::size_t last = dir + 2 * kEntry;
+  std::uint64_t extent_offset = 0;
+  std::uint64_t extent_size = 0;
+  std::memcpy(&extent_offset, bytes.data() + last + 16, 8);
+  std::memcpy(&extent_size, bytes.data() + last + 24, 8);
+  ASSERT_EQ(extent_offset + extent_size, bytes.size());
+  // The last chunk holds two peptides: its payload ends [2 u64][id][id].
+  std::uint32_t first = 0;
+  std::uint32_t second = 0;
+  std::memcpy(&first, bytes.data() + bytes.size() - 8, 4);
+  std::memcpy(&second, bytes.data() + bytes.size() - 4, 4);
+
+  const auto reseal = [&](std::uint32_t a, std::uint32_t b) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + corrupt.size() - 8, &a, 4);
+    std::memcpy(corrupt.data() + corrupt.size() - 4, &b, 4);
+    const std::uint32_t chunk_crc =
+        bin::crc32(corrupt.data() + extent_offset, extent_size);
+    std::memcpy(corrupt.data() + last + 32, &chunk_crc, 4);
+    const std::uint32_t dir_crc =
+        bin::crc32(corrupt.data() + dir, 3 * kEntry);
+    std::memcpy(corrupt.data() + dir - 4, &dir_crc, 4);
+    return corrupt;
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"out-of-range id", reseal(first, 99)},
+      {"order violation", reseal(second, first)},
+      {"duplicated id", reseal(first, first)},
+  };
+  const std::string corrupt_path =
+      ::testing::TempDir() + "/mmap_order_c.idx";
+  QueryParams open_filter;
+  open_filter.shared_peak_min = 1;
+  for (const auto& [what, corrupt] : cases) {
+    {
+      std::ofstream out(corrupt_path, std::ios::binary);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    std::unique_ptr<ChunkedIndex> mapped;
+    ASSERT_NO_THROW(mapped =
+                        ChunkedIndex::map_file(corrupt_path, mods_, params_))
+        << what;
+    try {
+      std::vector<Candidate> candidates;
+      QueryWork work;
+      mapped->query(theo("PEPTIDEK"), open_filter, candidates, work);
+      (void)mapped->num_postings();
+      ADD_FAILURE() << what << " went undetected";
+    } catch (const IoError& e) {
+      EXPECT_EQ(std::string(e.what()).find("checksum"), std::string::npos)
+          << what << " was caught by a CRC, not the order validation";
+    }
+  }
+  fs::remove(corrupt_path);
+
+  // A version-5 file is stale: regenerate, never misparse.
+  std::string v5 = bytes;
+  ASSERT_EQ(v5[4], 6);
+  v5[4] = 5;
+  {
+    std::ofstream out(corrupt_path, std::ios::binary);
+    out.write(v5.data(), static_cast<std::streamsize>(v5.size()));
+  }
+  EXPECT_THROW(ChunkedIndex::map_file(corrupt_path, mods_, params_),
+               serialize::FormatVersionError);
   fs::remove(corrupt_path);
 }
 

@@ -5,6 +5,8 @@
 // truncation, flipped bits anywhere) are rejected with IoError.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 
@@ -161,6 +163,85 @@ TEST_F(SerializeTest, SlmIndexRoundTrip) {
     EXPECT_EQ(a[i].peptide, b[i].peptide);
     EXPECT_EQ(a[i].shared_peaks, b[i].shared_peaks);
   }
+}
+
+// Format v6: the arrays payload ends with the index's ids in (mass, id)
+// order. Each corruption below keeps the section CRC valid (recomputed),
+// so only the structural validation can catch it — and it must, before the
+// window path binary-searches the order or reads store columns by its ids.
+namespace {
+
+/// Rewrites one id of the mass order of a saved SlmIndex (whose arrays
+/// section is the last in the stream) and re-seals the section CRC.
+std::string corrupt_mass_order(std::string bytes, std::size_t n,
+                               std::size_t slot, std::uint32_t id) {
+  const std::size_t order_at = bytes.size() - ((4 * n + 7) & ~std::size_t{7});
+  std::memcpy(bytes.data() + order_at + 4 * slot, &id, sizeof(id));
+  for (std::size_t p = 16; p < bytes.size(); p += 8) {
+    std::uint32_t tag = 0;
+    std::uint64_t size = 0;
+    std::memcpy(&tag, bytes.data() + p - 16, sizeof(tag));
+    std::memcpy(&size, bytes.data() + p - 12, sizeof(size));
+    if (tag == serialize::kSecArrays && size == bytes.size() - p) {
+      const std::uint32_t crc = bin::crc32(bytes.data() + p, size);
+      std::memcpy(bytes.data() + p - 4, &crc, sizeof(crc));
+      return bytes;
+    }
+  }
+  ADD_FAILURE() << "arrays section not found";
+  return bytes;
+}
+
+}  // namespace
+
+TEST_F(SerializeTest, SlmIndexMassOrderRoundTripsAndIsValidated) {
+  const PeptideStore store = make_store();
+  const SlmIndex original(store, mods_, params_);
+  std::stringstream buffer;
+  original.save(buffer);
+  const std::string bytes = buffer.str();
+  {
+    std::istringstream in(bytes);
+    const SlmIndex loaded = SlmIndex::load(in, store, mods_, params_);
+    ASSERT_EQ(loaded.ids_by_mass().size(), store.size());
+    EXPECT_TRUE(std::equal(loaded.ids_by_mass().begin(),
+                           loaded.ids_by_mass().end(),
+                           original.ids_by_mass().begin()));
+  }
+  const auto order = original.ids_by_mass();
+  const std::size_t n = order.size();
+  ASSERT_GE(n, 2u);
+  const std::uint32_t out_of_range = static_cast<std::uint32_t>(n) + 5;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"out-of-range id", corrupt_mass_order(bytes, n, n - 1, out_of_range)},
+      {"order violation", corrupt_mass_order(bytes, n, 0, order[1])},
+      {"duplicated id", corrupt_mass_order(bytes, n, 1, order[0])},
+  };
+  for (const auto& [what, corrupt] : cases) {
+    std::istringstream in(corrupt);
+    try {
+      (void)SlmIndex::load(in, store, mods_, params_);
+      ADD_FAILURE() << what << " loaded successfully";
+    } catch (const serialize::FormatVersionError&) {
+      ADD_FAILURE() << what << " misreported as a version mismatch";
+    } catch (const IoError& e) {
+      EXPECT_EQ(std::string(e.what()).find("checksum"), std::string::npos)
+          << what << " was caught by the CRC, not the order validation";
+    }
+  }
+}
+
+TEST_F(SerializeTest, VersionFiveFilesAreStale) {
+  const ChunkedIndex original(make_store(), mods_, params_,
+                              ChunkingParams{});
+  std::stringstream buffer;
+  original.save(buffer);
+  std::string v5 = buffer.str();
+  ASSERT_EQ(v5[4], 6);
+  v5[4] = 5;  // version u32 follows the 4-byte magic
+  std::istringstream in(v5);
+  EXPECT_THROW(ChunkedIndex::load(in, mods_, params_),
+               serialize::FormatVersionError);
 }
 
 TEST_F(SerializeTest, SlmIndexLoadRejectsDifferentParams) {

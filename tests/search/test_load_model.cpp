@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
 
 #include "theospec/fragmenter.hpp"
 
@@ -132,19 +132,59 @@ TEST_F(LoadModelTest, PerQueryModelMatchesAggregatePrediction) {
                    predict_query_cost(index, queries, filter_, preprocess_));
 }
 
-TEST_F(LoadModelTest, ModelOutlivesTheIndex) {
-  // The model snapshots the occupancy histogram — predictions must not
-  // depend on the index staying alive.
-  std::unique_ptr<QueryCostModel> model;
-  double live = 0.0;
+// The model borrows the index (its cached occupancy prefix, and for a
+// finite window its chunks' bin offsets and mass orders), so building a
+// second model — a thief modelling a victim's index — reuses the first
+// one's prefix instead of recomputing it, and both predict alike.
+TEST_F(LoadModelTest, ModelsBorrowTheIndexOccupancy) {
+  const auto index = make_index({"PEPTIDEK", "GGGGGGK"});
   const auto query = theo("PEPTIDEK");
-  {
-    const auto index = make_index({"PEPTIDEK", "GGGGGGK"});
-    model = std::make_unique<QueryCostModel>(index, filter_, preprocess_);
-    live = model->predict(query);
+  const QueryCostModel first(index, filter_, preprocess_);
+  const std::vector<std::uint64_t>* cached = &index.occupancy_prefix();
+  const QueryCostModel second(index, filter_, preprocess_);
+  EXPECT_EQ(&index.occupancy_prefix(), cached);
+  EXPECT_DOUBLE_EQ(first.predict(query), second.predict(query));
+  EXPECT_GT(first.predict(query), 0.0);
+}
+
+// Narrow-window twin of PredictionEqualsMeasuredPostings: the model routes
+// the precursor window to chunks and applies each chunk's path chooser, so
+// it predicts the filtration units the engine measures — walked postings
+// plus weighted window-path fragment bins. Equal-length peptides give
+// every entry the same in-range fragment count, so the window path's
+// mean-based estimate is exact too; a shared suffix piles postings into
+// the query's y-ion bins, so the window path wins in the routed chunks.
+TEST_F(LoadModelTest, NarrowWindowPredictionEqualsMeasuredWork) {
+  index::PeptideStore store(&mods_);
+  const std::string residues = "ADEFGNPSVW";
+  for (const char first : residues) {
+    for (const char second : residues) {
+      store.add(chem::Peptide(std::string{first, second} + "GGGGGK"), mods_);
+    }
   }
-  EXPECT_DOUBLE_EQ(model->predict(query), live);
-  EXPECT_GT(live, 0.0);
+  index::ChunkingParams chunking;
+  chunking.max_chunk_entries = 40;
+  const index::ChunkedIndex index(std::move(store), mods_, params_, chunking);
+  ASSERT_EQ(index.num_chunks(), 3u);
+  index::QueryParams narrow = filter_;
+  narrow.precursor_tolerance = 0.05;
+
+  const std::vector<chem::Spectrum> queries = {
+      theo("ADGGGGGK"), theo("WPGGGGGK"), theo("SNGGGGGK")};
+  const QueryCostModel model(index, narrow, preprocess_);
+  index::QueryWork work;
+  std::vector<index::Candidate> candidates;
+  double predicted = 0.0;
+  for (const auto& query : queries) {
+    predicted += model.predict(query);
+    candidates.clear();
+    index.query(preprocess(query, preprocess_), narrow, candidates, work);
+    EXPECT_FALSE(candidates.empty());
+  }
+  EXPECT_GT(work.fragment_bins, 0u);  // the window path did run
+  EXPECT_DOUBLE_EQ(predicted, work.filtration_units());
+  EXPECT_DOUBLE_EQ(predicted,
+                   predict_query_cost(index, queries, narrow, preprocess_));
 }
 
 TEST(CostModelFit, PerfectPredictionsFitIdentity) {

@@ -117,25 +117,24 @@ TEST(VirtualTime, BarrierCostAddsLogTerm) {
 }
 
 TEST(VirtualTime, SlowdownScalesMeasuredTime) {
-  // With measured time ON and a 3x slowdown on rank 1, equal real work
-  // costs rank 1 about 3x the virtual seconds of rank 0.
+  // With measured time ON and a 3x slowdown on rank 1, equal work costs
+  // rank 1 exactly 3x the virtual seconds of rank 0. The injected clock
+  // makes "equal work" exact: each rank's body advances it by one second,
+  // and the virtual engine runs one rank at a time.
+  double fake_now = 100.0;
   ClusterOptions options;
   options.ranks = 2;
   options.engine = Engine::kVirtual;
   options.measured_time = true;
   options.cost = CostModel::zero();
   options.slowdown = {1.0, 3.0};
+  options.clock = [&fake_now] { return fake_now; };
   Cluster cluster(options);
-  cluster.run([&](Comm& /*comm*/) {
-    volatile double sink = 0.0;
-    for (int i = 0; i < 2000000; ++i) sink = sink + 1.0;
-  });
+  cluster.run([&](Comm& /*comm*/) { fake_now += 1.0; });
   const double t0 = cluster.reports()[0].vclock;
   const double t1 = cluster.reports()[1].vclock;
-  ASSERT_GT(t0, 0.0);
-  const double ratio = t1 / t0;
-  EXPECT_GT(ratio, 1.8);  // loose: CI timing noise
-  EXPECT_LT(ratio, 5.0);
+  EXPECT_DOUBLE_EQ(t0, 1.0);
+  EXPECT_DOUBLE_EQ(t1, 3.0 * t0);
 }
 
 TEST(VirtualTime, MeasuredTimeProducesNonZeroClocks) {
