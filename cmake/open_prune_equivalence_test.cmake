@@ -1,7 +1,7 @@
 # Open-search pruning acceptance test (ctest `lbectl_open_prune_equivalence`):
 # the same open-window PTM workload searched with block-max span pruning on
 # (the default) and off must write byte-identical psms.tsv — over a cold
-# build, a warm v5 bundle (mapped and eager), and a fully open window. The
+# build, a warm (mapped) v5 bundle, and a fully open window. The
 # pruned run must also actually prune: metrics.csv's spans_pruned +
 # blocks_pruned columns must be nonzero, so the equivalence is not
 # vacuously "pruning never fired".
@@ -46,8 +46,8 @@ run_search(inf_on --open-window inf)
 run_search(inf_off --open-window inf --prune false)
 require_identical(inf_on inf_off "open window, prune on vs off (cold)")
 
-# Warm v5 bundle: bounds deserialized (mapped and eager) must prune the
-# same way the cold-built bounds did. The cold reference here re-runs
+# Warm v5 bundle: bounds bound from the mapping must prune the same way
+# the cold-built bounds did. The cold reference here re-runs
 # against the SAME plan (synthetic query draws differ between the
 # workload-linked and plan-db paths, so wide_on above is not comparable).
 execute_process(
@@ -59,10 +59,7 @@ endif()
 run_search(cold_plan --open-window 100 --plan ${WORK_DIR}/prep/plan.lbe)
 run_search(warm_mapped --open-window 100
            --plan ${WORK_DIR}/prep/plan.lbe --index ${WORK_DIR}/prep)
-run_search(warm_eager --open-window 100 --mmap off
-           --plan ${WORK_DIR}/prep/plan.lbe --index ${WORK_DIR}/prep)
 require_identical(cold_plan warm_mapped "cold vs warm-mapped (prune on)")
-require_identical(cold_plan warm_eager "cold vs warm-eager (prune on)")
 run_search(warm_off --open-window 100 --prune false
            --plan ${WORK_DIR}/prep/plan.lbe --index ${WORK_DIR}/prep)
 require_identical(warm_mapped warm_off "warm bundle, prune on vs off")

@@ -1,10 +1,10 @@
 # SIMD equivalence acceptance test (ctest `lbectl_simd_equivalence`):
 # one prepared v4 bundle, searched warm at every decode kernel the CPU
 # supports (--simd scalar/sse/avx2 over the mapped path), must produce a
-# psms.tsv byte-identical to the eager streamed load (--mmap off), which
-# never touches the packed extents lazily. Unsupported levels are skipped
-# with a notice — lbectl clamps them to the best available kernel, so a
-# cmp there would only re-test the fallback.
+# psms.tsv byte-identical to a cold rebuild over the same plan, whose
+# postings are raw u32 and never pass through any decode kernel.
+# Unsupported levels are skipped with a notice — lbectl clamps them to the
+# best available kernel, so a cmp there would only re-test the fallback.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P simd_equivalence_test.cmake
 
@@ -20,22 +20,22 @@ if(NOT status EQUAL 0)
   message(FATAL_ERROR "lbectl prepare failed (${status})")
 endif()
 
-# Baseline: eager streamed warm start, decoded with whatever kernel `auto`
-# picks. Byte-identity against this run proves both the codec kernels and
-# the lazy mapped path change nothing observable.
+# Baseline: the cold rebuild, searching the freshly built raw u32
+# postings with no decode at all. Byte-identity against this run proves
+# both the codec kernels and the lazy mapped path change nothing
+# observable.
 execute_process(
   COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-          --index ${WORK_DIR}/prep --mmap off
           --out ${WORK_DIR}/baseline
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "baseline lbectl search --mmap off failed (${status})")
+  message(FATAL_ERROR "baseline cold lbectl search failed (${status})")
 endif()
 
 foreach(simd_level scalar sse avx2)
   execute_process(
     COMMAND ${LBECTL} search ${COMMON} --plan ${WORK_DIR}/prep/plan.lbe
-            --index ${WORK_DIR}/prep --mmap on --simd ${simd_level}
+            --index ${WORK_DIR}/prep --simd ${simd_level}
             --out ${WORK_DIR}/simd_${simd_level}
     OUTPUT_VARIABLE search_output
     ERROR_VARIABLE search_stderr
@@ -62,9 +62,9 @@ foreach(simd_level scalar sse avx2)
     RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
     message(FATAL_ERROR
-            "--simd ${simd_level} psms.tsv differs from the eager baseline")
+            "--simd ${simd_level} psms.tsv differs from the cold baseline")
   endif()
   message(STATUS
-          "--simd ${simd_level} psms.tsv is byte-identical to the eager "
+          "--simd ${simd_level} psms.tsv is byte-identical to the cold "
           "baseline")
 endforeach()

@@ -1,9 +1,8 @@
 # Warm-start acceptance test (ctest `lbectl_warm_start_identical`):
-# prepare writes the plan + index bundle, then a warm `search --index` must
-# produce a byte-identical psms.tsv to a cold rebuild — through BOTH warm
-# load paths: `--mmap on` (mapped, lazy chunks; the default) and
-# `--mmap off` (eager streamed load) — at the default open window and at
-# --open-window 0.05.
+# prepare writes the plan + index bundle, then a warm `search --index` —
+# which maps every rank file and materializes chunks lazily — must produce
+# a byte-identical psms.tsv to a cold rebuild, at the default open window
+# and at --open-window 0.05.
 # Invoked as:
 #   cmake -DLBECTL=<lbectl> -DWORK_DIR=<scratch> -P warm_start_test.cmake
 
@@ -31,41 +30,33 @@ foreach(window inf 0.05)
             "cold lbectl search (window ${window}) failed (${status})")
   endif()
 
-  foreach(mmap_mode on off)
-    execute_process(
-      COMMAND ${LBECTL} search ${COMMON} --open-window ${window}
-              --plan ${WORK_DIR}/prep/plan.lbe
-              --index ${WORK_DIR}/prep --mmap ${mmap_mode}
-              --out ${WORK_DIR}/warm_${mmap_mode}_${window}
-      OUTPUT_VARIABLE warm_output
-      RESULT_VARIABLE status)
-    if(NOT status EQUAL 0)
-      message(FATAL_ERROR
-              "warm lbectl search --mmap ${mmap_mode} failed (${status})")
-    endif()
-    if(NOT warm_output MATCHES "warm start: loaded")
-      message(FATAL_ERROR
-              "warm search --mmap ${mmap_mode} did not report a warm start:\n"
-              "${warm_output}")
-    endif()
-    if(mmap_mode STREQUAL "on" AND NOT warm_output MATCHES "mmap, lazy chunks")
-      message(FATAL_ERROR
-              "warm search --mmap on did not take the mapped path:\n"
-              "${warm_output}")
-    endif()
+  execute_process(
+    COMMAND ${LBECTL} search ${COMMON} --open-window ${window}
+            --plan ${WORK_DIR}/prep/plan.lbe --index ${WORK_DIR}/prep
+            --out ${WORK_DIR}/warm_${window}
+    OUTPUT_VARIABLE warm_output
+    RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR
+            "warm lbectl search (window ${window}) failed (${status})")
+  endif()
+  if(NOT warm_output MATCHES "warm start: loaded .* \\(mmap, lazy chunks\\)")
+    message(FATAL_ERROR
+            "warm search (window ${window}) did not report a mapped warm "
+            "start:\n${warm_output}")
+  endif()
 
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files
-              ${WORK_DIR}/cold_${window}/psms.tsv
-              ${WORK_DIR}/warm_${mmap_mode}_${window}/psms.tsv
-      RESULT_VARIABLE status)
-    if(NOT status EQUAL 0)
-      message(FATAL_ERROR
-              "warm-start (--mmap ${mmap_mode}, window ${window}) psms.tsv "
-              "differs from the cold rebuild")
-    endif()
-    message(STATUS
-            "warm-start (--mmap ${mmap_mode}, window ${window}) psms.tsv is "
-            "byte-identical to the cold rebuild")
-  endforeach()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/cold_${window}/psms.tsv
+            ${WORK_DIR}/warm_${window}/psms.tsv
+    RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR
+            "warm-start (window ${window}) psms.tsv differs from the cold "
+            "rebuild")
+  endif()
+  message(STATUS
+          "warm-start (window ${window}) psms.tsv is byte-identical to the "
+          "cold rebuild")
 endforeach()

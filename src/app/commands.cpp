@@ -102,8 +102,8 @@ int run_prepare(const AppOptions& opts) {
 
   // Round-trip the whole bundle as a self-check: an index set that cannot
   // be read back — or that fails its own manifest validation — is worse
-  // than none. Force the eager path so every chunk payload is actually
-  // re-read and CRC-verified (a lazy mapped check would stop at metadata).
+  // than none. Materialize every chunk so each payload is actually re-read
+  // and CRC-verified (a lazy mapped check would stop at metadata).
   AppOptions self_check = opts;
   self_check.index_mmap = false;
   const auto reloaded = try_load_warm_indexes(index_dir, plan, db,
@@ -130,9 +130,9 @@ int run_search(const AppOptions& opts) {
   if (!opts.index_dir.empty()) {
     warm = try_load_warm_indexes(opts.index_dir, plan, inputs.database, opts);
     if (warm != nullptr) {
-      std::printf("warm start: loaded %d rank indexes from %s%s\n",
-                  warm->ranks(), opts.index_dir.c_str(),
-                  opts.index_mmap ? " (mmap, lazy chunks)" : "");
+      std::printf("warm start: loaded %d rank indexes from %s "
+                  "(mmap, lazy chunks)\n",
+                  warm->ranks(), opts.index_dir.c_str());
     }
   }
 
@@ -241,7 +241,7 @@ int run_serve(const AppOptions& opts) {
   std::printf("serve: %d rank indexes resident%s\n", context->warm->ranks(),
               opts.index_dir.empty()
                   ? " (built in memory; use --index for a prepared bundle)"
-                  : (opts.index_mmap ? " (mmap, lazy chunks)" : " (eager)"));
+                  : " (mmap, lazy chunks)");
 
   serve::ServerConfig config;
   config.socket_path = opts.socket_path;

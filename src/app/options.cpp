@@ -17,10 +17,9 @@ namespace {
 
 // Every key the driver understands; parse_cli/options_from_config reject
 // anything else so a misspelled knob cannot silently fall back to a default.
-constexpr std::array<std::string_view, 51> kKnownKeys = {
+constexpr std::array<std::string_view, 50> kKnownKeys = {
     "db",          "queries",       "plan",
-    "index",       "index_out",     "mmap",
-    "simd",
+    "index",       "index_out",     "simd",
     "out",         "entries",       "num_queries",
     "seed",        "enzyme",        "missed_cleavages",
     "min_length",  "max_length",    "min_mass",
@@ -112,7 +111,6 @@ AppOptions options_from_config(const Config& config) {
   opts.plan_path = config.get_string("plan", "");
   opts.index_dir = config.get_string("index", "");
   opts.index_out_dir = config.get_string("index_out", "");
-  opts.index_mmap = config.get_bool("mmap", true);
   opts.simd = config.get_string("simd", "auto");
   {
     index::codec::SimdLevel level;
@@ -310,13 +308,10 @@ dashes in CLI option names are accepted as underscores):
   --db FILE            protein FASTA (omit for a synthetic proteome)
   --queries FILE       query MS2 file (omit for synthetic spectra)
   --plan FILE          plan file from `lbectl prepare` (instead of --db)
-  --index DIR          warm start: load the per-rank index bundle written by
-                       `prepare --index-out` instead of rebuilding (falls
+  --index DIR          warm start: mmap the per-rank index bundle written by
+                       `prepare --index-out` instead of rebuilding; each
+                       chunk is CRC-checked on first query touch (falls
                        back to a rebuild, with a warning, on any mismatch)
-  --mmap on|off        with --index: mmap rank files and materialize chunks
-                       lazily on first query touch (on, the default), or
-                       eagerly stream every array into memory (off).
-                       Results are byte-identical either way
   --simd LEVEL         posting-decode kernel for packed (v4) indexes:
                        auto|scalar|sse|avx2 (default auto = widest ISA the
                        CPU supports). Results are byte-identical at every

@@ -31,10 +31,12 @@ struct AppOptions {
   /// `search`: bundle directory from `prepare --index-out`; load instead of
   /// rebuilding per-rank indexes (falls back to rebuild on params mismatch).
   std::string index_dir;
-  /// `--mmap on|off` (default on): warm-start by mmapping rank files and
-  /// materializing chunks lazily on first query touch, instead of eagerly
-  /// streaming every array into heap vectors. Results are identical; only
-  /// time-to-first-query and peak RSS change.
+  /// Not a CLI option. Warm starts always map rank files; this only picks
+  /// when try_load_warm_indexes validates chunk payloads: true = lazily,
+  /// on first query touch; false = materialize and verify every chunk of
+  /// every rank at load (prepare's self-check). Kept as a field because
+  /// benchmark/src/run.cpp sets it; it could become a parameter of
+  /// try_load_warm_indexes in the next change to benchmark/.
   bool index_mmap = true;
   /// `--simd auto|scalar|sse|avx2`: posting-decode kernel for packed
   /// (format v4) indexes (index/posting_codec.hpp). `auto` (default)

@@ -352,10 +352,11 @@ std::unique_ptr<index::IndexBundle> try_load_warm_indexes(
     const AppOptions& opts) {
   std::unique_ptr<index::IndexBundle> bundle;
   try {
-    bundle = std::make_unique<index::IndexBundle>(index::load_index_bundle(
-        dir, db.mods,
-        opts.index_mmap ? index::BundleLoadMode::kMapped
-                        : index::BundleLoadMode::kEager));
+    bundle = std::make_unique<index::IndexBundle>(
+        index::load_index_bundle(dir, db.mods));
+    if (!opts.index_mmap) {
+      for (const auto& rank : bundle->per_rank) rank->materialize_all();
+    }
   } catch (const index::serialize::FormatVersionError& e) {
     // A bundle from an older (or newer) format is stale, not corrupt:
     // warn and rebuild, exactly like a plan-parameter mismatch below.
@@ -536,7 +537,9 @@ void write_reports(const std::string& out_dir, const PlanBundle& plan,
     // spans_*/blocks_pruned/candidates_scored expose block-max pruning per
     // rank (index/query_work.hpp); work_units deliberately excludes them.
     // fragment_bins counts the precursor-first window path's checks
-    // (weighted by kWindowBinCost in work_units).
+    // (weighted by kWindowBinCost in work_units). index_bytes is the
+    // partial index's owned heap; mapped_bytes the rank file a warm rank
+    // maps instead (0 when built), appended last so column positions hold.
     // The scheduling columns: batches_executed/stolen per *executing* rank,
     // and — when the schedule consumed cost predictions — the summed
     // predicted cost plus the relative-error summary of the Eq. 1 model per
@@ -548,7 +551,8 @@ void write_reports(const std::string& out_dir, const PlanBundle& plan,
                         "comm_messages", "comm_bytes", "peak_rss_bytes",
                         "batches_executed", "batches_stolen",
                         "predicted_cost", "pred_rel_err_mean",
-                        "pred_rel_err_p95", "fragment_bins"});
+                        "pred_rel_err_p95", "fragment_bins",
+                        "mapped_bytes"});
     const auto& report = outcome.report;
 
     // Per-index-rank fit of predicted vs observed (filtration units —
@@ -589,7 +593,8 @@ void write_reports(const std::string& out_dir, const PlanBundle& plan,
                CsvWriter::field(predicted_total),
                CsvWriter::field(fit.samples == 0 ? 0.0 : fit.mean_rel_error),
                CsvWriter::field(fit.samples == 0 ? 0.0 : fit.p95_rel_error),
-               CsvWriter::field(report.work[rank].fragment_bins)});
+               CsvWriter::field(report.work[rank].fragment_bins),
+               CsvWriter::field(report.mapped_bytes[rank])});
     }
   }
 

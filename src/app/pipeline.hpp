@@ -125,14 +125,16 @@ index::IndexBundle build_index_bundle(const PlanBundle& plan,
 /// parameter and the mapping table still match.
 std::uint32_t database_fingerprint(const DatabaseBundle& db);
 
-/// Loads `dir`'s bundle and validates it against the plan this search is
+/// Maps `dir`'s bundle and validates it against the plan this search is
 /// about to run (LBE params, index/chunking params, mapping table, rank
-/// count). Returns nullptr — after logging a warning — when anything
-/// mismatches, or when the bundle is a stale on-disk format version (e.g.
-/// v3 files under a v4 build), so the caller falls back to a cold
-/// rebuild. Corrupt or truncated files still throw IoError: a bundle the
-/// user explicitly pointed at must not be silently ignored. The returned
-/// bundle borrows `db.mods`, so `db` must outlive it.
+/// count); with `opts.index_mmap` false it also materializes — CRC-checks
+/// and validates — every chunk of every rank before returning. Returns
+/// nullptr — after logging a warning — when anything mismatches, or when
+/// the bundle is a stale on-disk format version (e.g. v3 files under a v4
+/// build), so the caller falls back to a cold rebuild. Corrupt or
+/// truncated files still throw IoError: a bundle the user explicitly
+/// pointed at must not be silently ignored. The returned bundle borrows
+/// `db.mods`, so `db` must outlive it.
 std::unique_ptr<index::IndexBundle> try_load_warm_indexes(
     const std::string& dir, const PlanBundle& plan, const DatabaseBundle& db,
     const AppOptions& opts);

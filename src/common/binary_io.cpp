@@ -40,10 +40,12 @@ void write_section(std::ostream& out, std::uint32_t tag,
   if (!out) throw IoError("binary write failed");
 }
 
+namespace {
+
+/// Reads exactly `size` bytes in bounded chunks: a corrupt size field under
+/// the cap fails as a truncated-section IoError, not as one giant
+/// bad_alloc.
 std::string read_exact(std::istream& in, std::uint64_t size) {
-  // Grow the buffer in bounded chunks rather than trusting the size field
-  // with one up-front allocation: a corrupt size under the cap must fail
-  // as a truncated-section IoError, not as an OOM/bad_alloc.
   constexpr std::size_t kChunk = std::size_t{1} << 20;
   std::string payload;
   std::uint64_t remaining = size;
@@ -59,8 +61,6 @@ std::string read_exact(std::istream& in, std::uint64_t size) {
   return payload;
 }
 
-namespace {
-
 constexpr std::size_t kRawAlign = 8;
 
 std::size_t padding_for(std::uint64_t cursor) {
@@ -68,11 +68,9 @@ std::size_t padding_for(std::uint64_t cursor) {
                                   kRawAlign);
 }
 
-/// Shared [tag][size][crc][payload] frame parse behind read_section and
-/// read_raw_section (one copy of the validation logic and its messages).
-/// Returns the payload; `frame_bytes` reports the frame + payload span.
-std::string read_section_frame(std::istream& in, std::uint32_t expected_tag,
-                               std::uint64_t& frame_bytes) {
+}  // namespace
+
+std::string read_section(std::istream& in, std::uint32_t expected_tag) {
   const auto tag = read_pod<std::uint32_t>(in);
   if (tag != expected_tag) {
     throw IoError("binary read failed: unexpected section tag (corrupt "
@@ -89,15 +87,7 @@ std::string read_section_frame(std::istream& in, std::uint32_t expected_tag,
     throw IoError("binary read failed: section checksum mismatch (corrupt "
                   "file?)");
   }
-  frame_bytes = 16 + size;
   return payload;
-}
-
-}  // namespace
-
-std::string read_section(std::istream& in, std::uint32_t expected_tag) {
-  std::uint64_t frame_bytes = 0;
-  return read_section_frame(in, expected_tag, frame_bytes);
 }
 
 std::uint64_t raw_section_span(std::uint64_t cursor, std::uint64_t size) {
@@ -112,21 +102,6 @@ void write_alignment(std::ostream& out, std::uint64_t& cursor) {
     if (!out) throw IoError("binary write failed");
     cursor += pad;
   }
-}
-
-void read_alignment(std::istream& in, std::uint64_t& cursor) {
-  const std::size_t pad = padding_for(cursor);
-  if (pad == 0) return;
-  char buffer[kRawAlign] = {};
-  in.read(buffer, static_cast<std::streamsize>(pad));
-  if (!in) throw IoError("binary read failed: truncated stream");
-  for (std::size_t i = 0; i < pad; ++i) {
-    if (buffer[i] != 0) {
-      throw IoError("binary read failed: non-zero alignment padding "
-                    "(corrupt file?)");
-    }
-  }
-  cursor += pad;
 }
 
 void write_padded(std::ostream& out, const void* data, std::size_t size,
@@ -166,15 +141,6 @@ void write_raw_section(std::ostream& out, std::uint64_t& cursor,
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!out) throw IoError("binary write failed");
   cursor += payload.size();
-}
-
-std::string read_raw_section(std::istream& in, std::uint64_t& cursor,
-                             std::uint32_t expected_tag) {
-  read_alignment(in, cursor);
-  std::uint64_t frame_bytes = 0;
-  std::string payload = read_section_frame(in, expected_tag, frame_bytes);
-  cursor += frame_bytes;
-  return payload;
 }
 
 }  // namespace lbe::bin

@@ -48,12 +48,13 @@ std::string read_section(std::istream& in, std::uint32_t expected_tag);
 // Same 16-byte [tag u32][size u64][crc32 u32] frame as write_section, but
 // preceded by zero padding so the frame — and, the frame being 16 bytes,
 // the payload — starts at an 8-byte-aligned *file* offset. That is what
-// lets the mmap warm-start path (common/mmap_file.hpp) view u32/u64/double
-// arrays in place. Both sides thread an explicit byte cursor (bytes since
-// the start of the file) instead of trusting tellp/tellg, so nested
-// components embedded at arbitrary offsets stay in sync. Padding bytes are
-// written as zeros and *verified* zero on read: no byte of a v3 file is
-// outside some validated region, so a flipped bit anywhere is an IoError.
+// lets the mmap load path (common/mmap_file.hpp, the only reader of these
+// sections) view u32/u64/double arrays in place. The writer threads an
+// explicit byte cursor (bytes since the start of the file) instead of
+// trusting tellp, so nested components embedded at arbitrary offsets stay
+// in sync. Padding bytes are written as zeros and verified zero on read:
+// no byte of a v3 file is outside some validated region, so a flipped bit
+// anywhere is an IoError.
 
 /// Bytes `write_raw_section` will occupy for a payload of `size` bytes
 /// starting at file offset `cursor` (padding + 16-byte frame + payload).
@@ -61,10 +62,6 @@ std::uint64_t raw_section_span(std::uint64_t cursor, std::uint64_t size);
 
 /// Zero-pads `out` to the next 8-byte boundary of `cursor`.
 void write_alignment(std::ostream& out, std::uint64_t& cursor);
-
-/// Consumes padding up to the next 8-byte boundary of `cursor`, requiring
-/// every pad byte to be zero (IoError otherwise).
-void read_alignment(std::istream& in, std::uint64_t& cursor);
 
 /// Alignment padding + frame only — for callers that stream a large payload
 /// right after (the payload's `size` and `crc` must be known up front).
@@ -75,15 +72,6 @@ void write_raw_section_frame(std::ostream& out, std::uint64_t& cursor,
 /// Alignment padding + frame + payload.
 void write_raw_section(std::ostream& out, std::uint64_t& cursor,
                        std::uint32_t tag, std::string_view payload);
-
-/// Reads one aligned section written by write_raw_section, verifying the
-/// padding, tag and checksum. Throws IoError on any mismatch.
-std::string read_raw_section(std::istream& in, std::uint64_t& cursor,
-                             std::uint32_t expected_tag);
-
-/// Reads exactly `size` bytes in bounded chunks (a corrupt size field fails
-/// as a truncated-stream IoError, never as one giant bad_alloc).
-std::string read_exact(std::istream& in, std::uint64_t size);
 
 /// Appends `size` raw bytes plus zero padding to the next 8-byte boundary
 /// of `cursor` (payload- or file-relative, as the caller tracks it).

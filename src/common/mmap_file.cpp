@@ -42,6 +42,11 @@ std::shared_ptr<const MmapFile> MmapFile::open(const std::string& path) {
   return std::shared_ptr<const MmapFile>(new MmapFile(data, size, path));
 }
 
+void MmapFile::release_resident() const noexcept {
+  // Advice only: on failure the pages simply stay resident.
+  (void)::madvise(data_, size_, MADV_DONTNEED);
+}
+
 MmapFile::~MmapFile() {
   if (data_ != nullptr) ::munmap(data_, size_);
 }

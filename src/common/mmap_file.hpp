@@ -1,15 +1,15 @@
 // Read-only memory-mapped files and a bounds-checked byte cursor.
 //
-// The warm-start path (index/serialize.hpp, format v3) binds index arrays
-// straight into mapped file memory instead of streaming them into freshly
-// allocated vectors: the kernel pages data in on first touch, so loading a
-// prepared bundle costs O(metadata) up front and narrow-window searches
-// that visit few chunks never read most of the file at all. `MmapFile` is
-// the RAII mapping (shared ownership, because several index components may
-// view one mapping and must keep it alive); `ByteReader` walks mapped bytes
-// with the same corruption discipline as the stream readers in binary_io:
-// every overrun, bad tag, non-zero alignment pad or checksum mismatch is a
-// typed IoError, never UB.
+// Every rank file is read this way (index/serialize.hpp, format v3+):
+// index arrays bind straight into mapped file memory instead of being
+// copied into freshly allocated vectors. The kernel pages data in on first
+// touch, so loading a prepared bundle costs O(metadata) up front and
+// narrow-window searches that visit few chunks never read most of the file
+// at all. `MmapFile` is the RAII mapping (shared ownership, because several
+// index components may view one mapping and must keep it alive);
+// `ByteReader` walks mapped bytes with the same corruption discipline as
+// the stream readers in binary_io: every overrun, bad tag, non-zero
+// alignment pad or checksum mismatch is a typed IoError, never UB.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +44,12 @@ class MmapFile {
   }
   std::size_t size() const noexcept { return size_; }
   const std::string& path() const noexcept { return path_; }
+
+  /// Drops this process's resident copies of the mapped pages. The mapping
+  /// stays valid: a read-only file mapping faults each page back in from
+  /// the page cache on its next touch, exactly as the kernel may do on its
+  /// own under memory pressure.
+  void release_resident() const noexcept;
 
  private:
   MmapFile(void* data, std::size_t size, std::string path)
@@ -116,10 +122,10 @@ class ByteReader {
       throw IoError("mapped read failed: truncated file");
     }
     const auto raw = take(count * sizeof(T));
-    // Check the REAL pointer, not just the buffer-relative offset: mapped
-    // files are page-aligned, but stream loads wrap heap buffers whose
-    // base alignment the standard does not promise (practice does — this
-    // turns an allocator surprise into IoError instead of misaligned UB).
+    // Check the REAL pointer, not just the range-relative offset: a
+    // mapping is page-aligned, but a reader over any other buffer carries
+    // no such promise — this turns a surprise into IoError instead of
+    // misaligned UB.
     if (count != 0 &&
         reinterpret_cast<std::uintptr_t>(raw.data()) % alignof(T) != 0) {
       throw IoError("mapped read failed: misaligned array (corrupt file?)");
@@ -133,10 +139,10 @@ class ByteReader {
   std::size_t offset_;
 };
 
-/// Mapped-side twin of binary_io's read_raw_section: consumes alignment
-/// padding (verified zero), the [tag u32][size u64][crc32 u32] frame, and
-/// the payload, validating the checksum before returning the in-place
-/// payload view. Throws IoError on any mismatch.
+/// Reads one aligned section written by binary_io's write_raw_section:
+/// consumes alignment padding (verified zero), the [tag u32][size u64]
+/// [crc32 u32] frame, and the payload, validating the checksum before
+/// returning the in-place payload view. Throws IoError on any mismatch.
 std::span<const std::byte> read_raw_section(ByteReader& reader,
                                             std::uint32_t expected_tag);
 

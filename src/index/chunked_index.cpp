@@ -17,7 +17,7 @@ namespace lbe::index {
 namespace {
 
 /// One on-disk chunk-directory entry (format v3). The directory is written
-/// — and CRC-validated — eagerly, so routing (which chunks a precursor
+/// first and CRC-validated at map time, so routing (which chunks a precursor
 /// window touches) never depends on unvalidated bytes; the payload extent
 /// it points at is checked against `crc` on first touch.
 struct ChunkDirEntry {
@@ -98,6 +98,17 @@ const SlmIndex& ChunkedIndex::materialize_chunk(std::size_t c) const {
   serialize::require(reader.remaining() == 0, "chunk payload trailing bytes");
   live_[c].store(chunk.index.get(), std::memory_order_release);
   return *chunk.index;
+}
+
+void ChunkedIndex::materialize_all() const {
+  for (std::size_t c = 0; c < chunks_.size(); ++c) (void)chunk_index(c);
+  // Every byte has now been read once; without this the pass would leave
+  // the whole file resident and become its caller's memory peak.
+  if (mapping_ != nullptr) mapping_->release_resident();
+}
+
+std::uint64_t ChunkedIndex::mapped_bytes() const noexcept {
+  return mapping_ != nullptr ? mapping_->size() : 0;
 }
 
 std::uint64_t ChunkedIndex::num_postings() const {
@@ -288,10 +299,10 @@ void ChunkedIndex::save(std::ostream& out) const {
 
 namespace {
 
-/// Shared directory-entry validation: extents must tile the payload region
+/// Directory-entry validation: extents must tile the payload region
 /// exactly so no byte of the file escapes a validated region.
 void validate_dir_entry(const ChunkDirEntry& entry, std::uint64_t& expected,
-                        std::uint64_t file_size_or_zero) {
+                        std::uint64_t file_size) {
   namespace sz = serialize;
   sz::require(entry.offset == expected, "chunk extent out of order");
   sz::require(entry.offset % 8 == 0, "misaligned chunk extent");
@@ -302,71 +313,10 @@ void validate_dir_entry(const ChunkDirEntry& entry, std::uint64_t& expected,
   sz::require(!(entry.mass_hi < entry.mass_lo), "inverted chunk mass range");
   sz::require(entry.reserved == 0, "non-zero reserved directory field");
   expected = entry.offset + entry.size;
-  if (file_size_or_zero != 0) {
-    sz::require(expected <= file_size_or_zero,
-                "chunk extent past end of file");
-  }
+  sz::require(expected <= file_size, "chunk extent past end of file");
 }
 
 }  // namespace
-
-std::unique_ptr<ChunkedIndex> ChunkedIndex::load(
-    std::istream& in, const chem::ModificationSet& mods,
-    const IndexParams& index_params) {
-  namespace sz = serialize;
-  std::uint64_t cursor = 0;
-  sz::read_header(in, sz::Kind::kChunkedIndex);
-  cursor += sz::kHeaderBytes;
-  std::uint64_t chunk_count = 0;
-  {
-    std::istringstream payload(
-        bin::read_raw_section(in, cursor, sz::kSecParams));
-    const IndexParams stored = sz::read_index_params(payload);
-    if (!sz::same_index_params(stored, index_params)) {
-      throw IoError("index file was built with different IndexParams");
-    }
-    chunk_count = bin::read_pod<std::uint64_t>(payload);
-    sz::require(chunk_count <= bin::kMaxElements, "implausible chunk count");
-  }
-
-  PeptideStore store = PeptideStore::load(in, &mods, cursor);
-  // Adopt via the non-building constructor; chunks reference the member
-  // store, whose address is stable behind the unique_ptr.
-  std::unique_ptr<ChunkedIndex> index(
-      new ChunkedIndex(std::move(store), mods, index_params, nullptr));
-
-  const std::string dir_payload =
-      bin::read_raw_section(in, cursor, sz::kSecChunkDir);
-  sz::require(dir_payload.size() == chunk_count * sizeof(ChunkDirEntry),
-              "chunk directory size mismatch");
-  bin::ByteReader dir(std::as_bytes(std::span(dir_payload)));
-  std::uint64_t expected_offset = cursor;
-  for (std::uint64_t c = 0; c < chunk_count; ++c) {
-    const auto entry = dir.read_pod<ChunkDirEntry>();
-    validate_dir_entry(entry, expected_offset, 0);
-
-    const std::string payload = bin::read_exact(in, entry.size);
-    cursor += entry.size;
-    if (bin::crc32(payload) != entry.crc) {
-      throw IoError("binary read failed: chunk payload checksum mismatch "
-                    "(corrupt file?)");
-    }
-    bin::ByteReader reader(std::as_bytes(std::span(payload)));
-    Chunk chunk;
-    chunk.mass_lo = entry.mass_lo;
-    chunk.mass_hi = entry.mass_hi;
-    chunk.index = std::make_unique<SlmIndex>(SlmIndex::parse_arrays_payload(
-        reader, index->store_, mods, index_params, nullptr));
-    sz::require(reader.remaining() == 0, "chunk payload trailing bytes");
-    index->chunks_.push_back(std::move(chunk));
-  }
-  // Same end-of-data discipline as map_file: nothing may follow the last
-  // chunk extent, or the two load modes would disagree on validity.
-  sz::require(in.peek() == std::istream::traits_type::eof(),
-              "trailing bytes after the last chunk extent");
-  index->publish_all_chunks();
-  return index;
-}
 
 std::unique_ptr<ChunkedIndex> ChunkedIndex::map_file(
     const std::string& path, const chem::ModificationSet& mods,
@@ -424,14 +374,6 @@ void ChunkedIndex::save_file(const std::string& path) const {
   if (!out) throw IoError("cannot open index file for writing: " + path);
   save(out);
   if (!out) throw IoError("index write failed: " + path);
-}
-
-std::unique_ptr<ChunkedIndex> ChunkedIndex::load_file(
-    const std::string& path, const chem::ModificationSet& mods,
-    const IndexParams& index_params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open index file: " + path);
-  return load(in, mods, index_params);
 }
 
 std::vector<std::uint64_t> ChunkedIndex::bin_occupancy() const {

@@ -9,15 +9,16 @@
 // This is also the paper's §IV escape hatch for the "2 billion ions" limit:
 // no chunk's posting array outgrows practical array indexing.
 //
-// Warm starts come in two flavours. `load`/`load_file` streams every
-// chunk's arrays into owned vectors up front (eager). `map_file` mmaps the
-// rank file, validates only the metadata (params, store columns, chunk
-// directory) and *lazily* materializes a chunk — CRC check plus in-place
+// A rank file has one reader: `map_file` mmaps it, validates only the
+// metadata (params, store columns, chunk directory) and *lazily*
+// materializes a chunk — CRC check, structural validation and in-place
 // span binding, no copy — the first time a query window intersects it. A
 // narrow-window search over a mapped index therefore reaches its first
 // query without reading most of the file, and peak RSS scales with the
-// chunks actually visited. Materialization is thread-safe (the engine
-// fans queries over one index from many threads).
+// chunks actually visited. `materialize_all` front-loads that work when a
+// caller must know every byte is sound before it goes on (prepare's
+// self-check). Materialization is thread-safe (the engine fans queries
+// over one index from many threads).
 #pragma once
 
 #include <atomic>
@@ -63,8 +64,21 @@ class ChunkedIndex {
   /// True when backed by a mapped file with lazily materialized chunks.
   bool mapped() const noexcept { return mapping_ != nullptr; }
 
-  /// Chunks whose arrays are resident (always num_chunks() when eager).
+  /// Size of the rank file behind a mapped index (0 for a built one): the
+  /// page-cache footprint its arrays live in, which memory_bytes excludes.
+  std::uint64_t mapped_bytes() const noexcept;
+
+  /// Chunks whose arrays are validated and bound (always num_chunks() when
+  /// built).
   std::size_t num_chunks_loaded() const noexcept;
+
+  /// Materializes every chunk of a mapped index now — CRC, structural
+  /// validation and binding of every payload byte — instead of on first
+  /// query touch, then releases the file's pages from the resident set
+  /// (they fault back in from the page cache on touch), so a verified
+  /// index costs no more memory than a lazily mapped one. IoError on the
+  /// first corrupt chunk. A no-op when built.
+  void materialize_all() const;
 
   /// Mass range [lo, hi] covered by chunk `c`.
   std::pair<Mass, Mass> chunk_mass_range(std::size_t c) const;
@@ -125,21 +139,13 @@ class ChunkedIndex {
   /// On-disk format (the paper's §II-B disk-resident chunks): store columns
   /// plus a chunk directory (mass range, file extent, CRC per chunk)
   /// followed by the chunks' raw aligned array payloads, all in the
-  /// versioned container of index/serialize.hpp. `load` revives the index
-  /// eagerly without re-fragmenting anything; `map_file` binds it lazily
-  /// out of an mmap. The caller must supply the same ModificationSet and
-  /// IndexParams used at build; corrupt or mismatched input raises
-  /// IoError (for `map_file`, corruption inside a chunk payload raises it
-  /// at first query touch instead of map time).
+  /// versioned container of index/serialize.hpp. `map_file` revives the
+  /// index out of an mmap without re-fragmenting anything. The caller must
+  /// supply the same ModificationSet and IndexParams used at build;
+  /// corrupt or mismatched metadata raises IoError at map time, corruption
+  /// inside a chunk payload at first touch (or materialize_all).
   void save(std::ostream& out) const;
-  static std::unique_ptr<ChunkedIndex> load(std::istream& in,
-                                            const chem::ModificationSet& mods,
-                                            const IndexParams& index_params);
-
   void save_file(const std::string& path) const;
-  static std::unique_ptr<ChunkedIndex> load_file(
-      const std::string& path, const chem::ModificationSet& mods,
-      const IndexParams& index_params);
   static std::unique_ptr<ChunkedIndex> map_file(
       const std::string& path, const chem::ModificationSet& mods,
       const IndexParams& index_params);
@@ -152,13 +158,13 @@ class ChunkedIndex {
     Mass mass_lo = 0.0;
     Mass mass_hi = 0.0;
     // File extent of the chunk's arrays payload (mapped indexes only),
-    // recorded from the eagerly-validated chunk directory.
+    // recorded from the chunk directory validated at map time.
     std::uint64_t extent_offset = 0;
     std::uint64_t extent_size = 0;
     std::uint32_t extent_crc = 0;
   };
 
-  /// Load-path constructor: adopts the store without building chunks.
+  /// map_file's constructor: adopts the store without building chunks.
   ChunkedIndex(PeptideStore store, const chem::ModificationSet& mods,
                const IndexParams& index_params, std::nullptr_t);
 
@@ -166,7 +172,7 @@ class ChunkedIndex {
   /// visit chunk `c` (always, for an open window).
   bool routed(std::size_t c, Mass query_mass, double tolerance) const;
 
-  /// Marks every chunk resident (cold build / eager load).
+  /// Marks every chunk resident (cold build).
   void publish_all_chunks() noexcept;
 
   /// Resident chunk accessor; materializes a mapped chunk on first touch

@@ -1,10 +1,7 @@
 #include "index/peptide_store.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
@@ -17,8 +14,7 @@ namespace {
 
 /// The five column views parsed out of one kSecColumns payload. Offsets
 /// inside the payload keep the file's mod-8 phase (the payload itself
-/// starts 8-aligned), so the same parse serves the mapped path (views into
-/// the mapping) and the stream path (views into a scratch buffer, copied).
+/// starts 8-aligned), so the views land aligned in the mapping.
 struct ColumnViews {
   std::string_view arena;
   std::span<const std::uint64_t> offsets;
@@ -60,7 +56,7 @@ ColumnViews parse_columns(bin::ByteReader& reader) {
   return v;
 }
 
-/// Structural validation shared by every load path: CSR invariants must
+/// Structural validation at bind time: CSR invariants must
 /// hold or lookups would read out of bounds later. The CRC catches bit
 /// rot; these catch truncated or hand-assembled payloads.
 void validate_columns(const ColumnViews& v) {
@@ -79,15 +75,6 @@ void validate_columns(const ColumnViews& v) {
                     v.site_offsets[i] >= v.site_offsets[i - 1],
                 "peptide store non-monotone offsets");
   }
-}
-
-template <typename T>
-std::vector<T> copy_array(std::span<const T> view) {
-  std::vector<T> out(view.size());
-  if (!view.empty()) {
-    std::memcpy(out.data(), view.data(), view.size() * sizeof(T));
-  }
-  return out;
 }
 
 }  // namespace
@@ -228,11 +215,6 @@ std::uint64_t PeptideStore::memory_bytes() const noexcept {
          masses_.capacity() * sizeof(Mass);
 }
 
-void PeptideStore::save(std::ostream& out) const {
-  std::uint64_t cursor = 0;
-  save(out, cursor);
-}
-
 void PeptideStore::save(std::ostream& out, std::uint64_t& cursor) const {
   namespace sz = serialize;
   sz::write_header(out, sz::Kind::kPeptideStore);
@@ -269,36 +251,6 @@ void PeptideStore::save(std::ostream& out, std::uint64_t& cursor) const {
   }
   LBE_CHECK(wc == pc, "peptide store payload size drift");
   cursor += pc;
-}
-
-PeptideStore PeptideStore::load(std::istream& in,
-                                const chem::ModificationSet* mods) {
-  std::uint64_t cursor = 0;
-  return load(in, mods, cursor);
-}
-
-PeptideStore PeptideStore::load(std::istream& in,
-                                const chem::ModificationSet* mods,
-                                std::uint64_t& cursor) {
-  namespace sz = serialize;
-  sz::read_header(in, sz::Kind::kPeptideStore);
-  cursor += sz::kHeaderBytes;
-  const std::string payload =
-      bin::read_raw_section(in, cursor, sz::kSecColumns);
-
-  bin::ByteReader reader(std::as_bytes(std::span(payload)));
-  const ColumnViews v = parse_columns(reader);
-  sz::require(reader.remaining() == 0, "peptide store trailing bytes");
-  validate_columns(v);
-
-  PeptideStore store(mods);
-  store.arena_.assign(v.arena);
-  store.offsets_ = copy_array(v.offsets);
-  store.sites_ = copy_array(v.sites);
-  store.site_offsets_ = copy_array(v.site_offsets);
-  store.masses_ = copy_array(v.masses);
-  store.rebind();
-  return store;
 }
 
 PeptideStore PeptideStore::bind_mapped(

@@ -8,10 +8,11 @@
 //
 // Every column is accessed through a non-owning view (`std::span` /
 // `std::string_view`) that binds to one of two backings: the store's own
-// containers (the cold path — `add` builds them, stream `load` fills them)
-// or a memory-mapped format-v3 index file (the warm path, `bind_mapped`),
-// in which case nothing is copied and the kernel pages columns in on first
-// touch. The mapping is kept alive by shared ownership.
+// containers (the cold path — `add` builds them) or a memory-mapped
+// format-v3 index file (the warm path, `bind_mapped`, the only way a
+// saved store is read back), in which case nothing is copied and the
+// kernel pages columns in on first touch. The mapping is kept alive by
+// shared ownership.
 #pragma once
 
 #include <cstdint>
@@ -101,14 +102,11 @@ class PeptideStore {
 
   /// Binary serialization (the paper's disk-resident chunks, §II-B): the
   /// store's columns dump verbatim into one aligned raw section; the
-  /// modification set is NOT serialized (pass the same one to load — mod
-  /// ids must mean the same thing). The `cursor` overloads serve embedding
-  /// inside another component file (format-v3 alignment is file-relative).
-  void save(std::ostream& out) const;
+  /// modification set is NOT serialized (pass the same one to
+  /// bind_mapped — mod ids must mean the same thing). `cursor` is the
+  /// file offset the store starts at: it nests inside a rank file, and
+  /// format-v3 alignment is file-relative.
   void save(std::ostream& out, std::uint64_t& cursor) const;
-  static PeptideStore load(std::istream& in, const chem::ModificationSet* mods);
-  static PeptideStore load(std::istream& in, const chem::ModificationSet* mods,
-                           std::uint64_t& cursor);
 
   /// Zero-copy load: binds the columns straight into the mapped file
   /// `reader` walks (positioned at this store's nested header). The

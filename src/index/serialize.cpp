@@ -191,8 +191,7 @@ void save_index_bundle(const std::string& dir, const IndexBundle& bundle) {
 }
 
 IndexBundle load_index_bundle(const std::string& dir,
-                              const chem::ModificationSet& mods,
-                              BundleLoadMode mode) {
+                              const chem::ModificationSet& mods) {
   namespace sz = serialize;
   const std::string manifest_path = bundle_manifest_path(dir);
   std::ifstream in(manifest_path, std::ios::binary);
@@ -222,12 +221,9 @@ IndexBundle load_index_bundle(const std::string& dir,
   bundle.per_rank.reserve(rank_count);
   for (std::uint32_t rank = 0; rank < rank_count; ++rank) {
     const std::string path = bundle_rank_path(dir, static_cast<int>(rank));
-    auto index = mode == BundleLoadMode::kMapped
-                     ? ChunkedIndex::map_file(path, mods, bundle.index_params)
-                     : ChunkedIndex::load_file(path, mods,
-                                               bundle.index_params);
-    // The store columns are validated in both modes (mapping a store is
-    // its first touch), so this count is trustworthy even when the chunk
+    auto index = ChunkedIndex::map_file(path, mods, bundle.index_params);
+    // The store columns are validated at map time (mapping a store is its
+    // first touch), so this count is trustworthy even when the chunk
     // payloads behind it are still cold.
     sz::require(index->num_peptides() ==
                     bundle.mapping.rank_count(static_cast<RankId>(rank)),

@@ -17,21 +17,23 @@
 // Since format v3, component-file sections are 8-byte aligned at the file
 // level ("raw" sections, binary_io): the 16-byte frame starts on an
 // 8-byte boundary, so the payload does too, and every array inside a
-// payload is padded to 8 — which is what lets the warm-start path mmap a
-// rank file and view postings/offsets/columns in place instead of copying
-// them (common/mmap_file.hpp). A chunked-index file additionally carries a
-// chunk *directory* (mass range + file extent + CRC per chunk) so chunk
-// payloads can be validated and materialized lazily, on first query touch.
-// The manifest keeps the unaligned v2-style section framing — it is tiny
-// and never mapped.
+// payload is padded to 8 — which is what lets a rank file be mmapped and
+// its postings/offsets/columns viewed in place instead of copied
+// (common/mmap_file.hpp). Mapping is the only way a rank file is read
+// (ChunkedIndex::map_file), so there is one parser of its bytes. A
+// chunked-index file additionally carries a chunk *directory* (mass range
+// + file extent + CRC per chunk) so chunk payloads can be validated and
+// materialized lazily, on first query touch. The manifest keeps the
+// unaligned v2-style section framing — it is tiny and read as a stream.
 //
-// Every payload is CRC-32 checked on read (eager sections at load, lazy
-// chunk extents on first touch) and alignment padding is verified zero; a
-// flipped bit anywhere raises IoError instead of corrupting a search.
-// Components nest as complete streams (a chunked-index file embeds a full
-// peptide-store stream), so each layer re-validates independently. Version
-// bumps are strict: readers reject any version they were not built for —
-// regenerate indexes with `lbectl prepare` rather than migrating in place.
+// Every payload is CRC-32 checked on read (metadata sections at map time,
+// chunk extents on first touch or ChunkedIndex::materialize_all) and
+// alignment padding is verified zero; a flipped bit anywhere raises
+// IoError instead of corrupting a search. Components nest as complete
+// streams (a chunked-index file embeds a full peptide-store stream), so
+// each layer re-validates independently. Version bumps are strict: readers
+// reject any version they were not built for — regenerate indexes with
+// `lbectl prepare` rather than migrating in place.
 #pragma once
 
 #include <cstdint>
@@ -60,28 +62,29 @@ inline constexpr std::uint32_t kMagic = 0x5845424Cu;
 /// (postings, bin offsets, peptide-store columns) 8-byte aligned at an
 /// offset-addressable extent so a warm start can bind them straight out of
 /// an mmap (common/mmap_file.hpp) instead of copying them into vectors,
-/// and moves per-chunk metadata into an eagerly-validated chunk directory
-/// so chunks can be materialized lazily, on first query touch. Version 4
+/// and moves per-chunk metadata into a chunk directory validated at map
+/// time so chunks can be materialized lazily, on first query touch.
+/// Version 4
 /// replaces each chunk's raw u32 posting array with bit-packed
 /// frame-of-reference blocks plus a per-block directory
-/// (index/posting_codec.hpp): eager loads decode back to u32 once at
-/// parse, mapped loads bind the packed extents in place and decode spans
-/// at query time through the runtime-selected scalar/SSE4.1/AVX2 kernel.
+/// (index/posting_codec.hpp): a mapped chunk binds the packed extents in
+/// place and decodes spans at query time through the runtime-selected
+/// scalar/SSE4.1/AVX2 kernel.
 /// Version 5 appends per-block bound metadata (BlockBound: precursor-mass
 /// range + max per-peptide fragment count, one record per 128-posting
 /// codec block) to each chunk's arrays payload, so the span walk can skip
 /// blocks that cannot contribute a reportable candidate (block-max
-/// pruning); bounds are validated at parse and bound in both eager and
-/// mapped loads. Version 6 appends each chunk's peptide ids in (precursor
-/// mass, id) order, which the precursor-first window path binary-searches;
-/// parse rejects out-of-range ids and any break in the strict order.
+/// pruning); bounds are validated at parse and bound in place. Version 6
+/// appends each chunk's peptide ids in (precursor mass, id) order, which
+/// the precursor-first window path binary-searches; parse rejects
+/// out-of-range ids and any break in the strict order.
 inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// What a stream claims to contain; read_header rejects mismatches so a
-/// rank file can never be mistaken for a manifest.
+/// rank file can never be mistaken for a manifest. Value 2 is retired
+/// (standalone SlmIndex files); never reuse it.
 enum class Kind : std::uint32_t {
   kPeptideStore = 1,
-  kSlmIndex = 2,
   kChunkedIndex = 3,
   kMappingTable = 4,
   kManifest = 5,
@@ -90,12 +93,10 @@ enum class Kind : std::uint32_t {
 // Section tags (unique per enclosing kind, not globally).
 inline constexpr std::uint32_t kSecParams = 0x01;
 inline constexpr std::uint32_t kSecColumns = 0x02;
-inline constexpr std::uint32_t kSecArrays = 0x03;
-inline constexpr std::uint32_t kSecChunk = 0x04;
 inline constexpr std::uint32_t kSecMapping = 0x05;
 inline constexpr std::uint32_t kSecLbeParams = 0x06;
 /// v3 chunk directory: per chunk {mass range, file extent, payload CRC}.
-/// Validated eagerly at load so routing decisions (which chunks a precursor
+/// Validated at map time so routing decisions (which chunks a precursor
 /// window touches) never depend on unvalidated bytes; the chunk payloads it
 /// points at are CRC-checked lazily, on first touch.
 inline constexpr std::uint32_t kSecChunkDir = 0x07;
@@ -173,25 +174,16 @@ void save_index_manifest(const std::string& dir, const IndexBundle& bundle);
 /// Throws IoError on any write failure.
 void save_index_bundle(const std::string& dir, const IndexBundle& bundle);
 
-/// How `load_index_bundle` revives rank files.
-enum class BundleLoadMode {
-  /// Stream every array of every chunk into freshly allocated vectors and
-  /// validate everything up front (the pre-v3 behaviour).
-  kEager,
-  /// mmap each rank file and bind arrays in place; the store columns and
-  /// chunk directory are validated at map time, chunk payloads lazily on
-  /// first query touch. Peak RSS and time-to-first-query scale with the
-  /// chunks a workload actually visits, not with the bundle.
-  kMapped,
-};
-
-/// Loads a bundle written by save_index_bundle. `mods` must be the same
+/// Loads a bundle written by save_index_bundle, mapping every rank file
+/// (ChunkedIndex::map_file): the manifest, store columns and chunk
+/// directories are validated here, chunk payloads on first query touch —
+/// peak RSS and time-to-first-query scale with the chunks a workload
+/// actually visits, not with the bundle. `mods` must be the same
 /// modification set the indexes were built under and must outlive the
-/// bundle. Throws IoError on missing/truncated/corrupt files or when a
-/// rank file disagrees with the manifest's mapping table (for kMapped,
-/// corruption inside a chunk payload surfaces at first touch instead).
+/// bundle. Throws IoError on missing/truncated/corrupt metadata or when a
+/// rank file disagrees with the manifest's mapping table; call
+/// ChunkedIndex::materialize_all to verify every chunk payload up front.
 IndexBundle load_index_bundle(const std::string& dir,
-                              const chem::ModificationSet& mods,
-                              BundleLoadMode mode = BundleLoadMode::kEager);
+                              const chem::ModificationSet& mods);
 
 }  // namespace lbe::index

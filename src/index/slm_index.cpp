@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "common/binary_io.hpp"
 #include "common/error.hpp"
@@ -758,33 +756,17 @@ SlmIndex SlmIndex::parse_arrays_payload(
     }
   }
 
+  LBE_CHECK(keepalive != nullptr, "arrays payload without a mapping");
   SlmIndex index(store, mods, params, nullptr);
-  if (keepalive != nullptr) {
-    index.bin_offsets_ = offsets_view;
-    index.blocks_ = blocks_view;
-    index.packed_ = packed_view;
-    index.bounds_ = bounds_view;
-    index.order_ = order_view;
-    index.posting_count_ = postings_count;
-    index.packed_mode_ = true;
-    index.packed_cached_ = true;
-    index.keepalive_ = std::move(keepalive);
-  } else {
-    // Eager load: decode back to the raw u32 array once, then query at
-    // full resident speed with no decode in the walk.
-    index.bin_offsets_storage_.assign(offsets_view.begin(),
-                                      offsets_view.end());
-    index.bounds_storage_.assign(bounds_view.begin(), bounds_view.end());
-    index.order_storage_.assign(order_view.begin(), order_view.end());
-    index.postings_storage_.resize(
-        static_cast<std::size_t>(block_count) * codec::kBlockValues);
-    codec::decode_blocks(blocks_view, packed_view, postings_count, 0,
-                         static_cast<std::size_t>(block_count),
-                         index.postings_storage_.data());
-    index.postings_storage_.resize(
-        static_cast<std::size_t>(postings_count));
-    index.bind_owned();
-  }
+  index.bin_offsets_ = offsets_view;
+  index.blocks_ = blocks_view;
+  index.packed_ = packed_view;
+  index.bounds_ = bounds_view;
+  index.order_ = order_view;
+  index.posting_count_ = postings_count;
+  index.packed_mode_ = true;
+  index.packed_cached_ = true;
+  index.keepalive_ = std::move(keepalive);
 
   sz::require(index.bin_offsets_.size() ==
                   std::size_t{index.binning_.num_bins()} + 1,
@@ -798,64 +780,18 @@ SlmIndex SlmIndex::parse_arrays_payload(
   }
   // Every decoded posting must be a valid store id BEFORE any query runs:
   // the scorecard indexes slots by posting with no bounds check. The
-  // mapped path decodes once into scratch for exactly this validation —
-  // queries re-decode per span — so corruption that survives the CRC
-  // (a stale-but-valid file for a different store) still fails at first
+  // postings are decoded once into scratch for exactly this validation —
+  // queries re-decode per span — so corruption that survives the CRC (a
+  // stale-but-valid file for a different store) still fails at first
   // touch, never mid-walk.
-  if (index.packed_mode_) {
-    std::vector<std::uint32_t> scratch(
-        static_cast<std::size_t>(block_count) * codec::kBlockValues);
-    codec::decode_blocks(blocks_view, packed_view, postings_count, 0,
-                         static_cast<std::size_t>(block_count),
-                         scratch.data());
-    for (std::uint64_t i = 0; i < postings_count; ++i) {
-      sz::require(scratch[static_cast<std::size_t>(i)] < store.size(),
-                  "posting out of range");
-    }
-  } else {
-    for (const LocalPeptideId id : index.postings_) {
-      sz::require(id < store.size(), "posting out of range");
-    }
+  std::vector<std::uint32_t> scratch(static_cast<std::size_t>(block_count) *
+                                     codec::kBlockValues);
+  codec::decode_blocks(blocks_view, packed_view, postings_count, 0,
+                       static_cast<std::size_t>(block_count), scratch.data());
+  for (std::uint64_t i = 0; i < postings_count; ++i) {
+    sz::require(scratch[static_cast<std::size_t>(i)] < store.size(),
+                "posting out of range");
   }
-  return index;
-}
-
-void SlmIndex::save(std::ostream& out) const {
-  namespace sz = serialize;
-  std::uint64_t cursor = 0;
-  sz::write_header(out, sz::Kind::kSlmIndex);
-  cursor += sz::kHeaderBytes;
-  {
-    std::ostringstream payload;
-    sz::write_index_params(payload, params_);
-    bin::write_raw_section(out, cursor, sz::kSecParams, payload.str());
-  }
-  bin::write_raw_section_frame(out, cursor, sz::kSecArrays,
-                               arrays_payload_size(), arrays_payload_crc());
-  write_arrays_payload(out);
-}
-
-SlmIndex SlmIndex::load(std::istream& in, const PeptideStore& store,
-                        const chem::ModificationSet& mods,
-                        const IndexParams& params) {
-  namespace sz = serialize;
-  std::uint64_t cursor = 0;
-  sz::read_header(in, sz::Kind::kSlmIndex);
-  cursor += sz::kHeaderBytes;
-  {
-    std::istringstream payload(
-        bin::read_raw_section(in, cursor, sz::kSecParams));
-    const IndexParams stored = sz::read_index_params(payload);
-    if (!sz::same_index_params(stored, params)) {
-      throw IoError("index file was built with different IndexParams");
-    }
-  }
-  const std::string payload =
-      bin::read_raw_section(in, cursor, sz::kSecArrays);
-  bin::ByteReader reader(std::as_bytes(std::span(payload)));
-  SlmIndex index =
-      parse_arrays_payload(reader, store, mods, params, nullptr);
-  sz::require(reader.remaining() == 0, "index arrays trailing bytes");
   return index;
 }
 

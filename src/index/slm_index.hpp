@@ -166,11 +166,11 @@ class SlmIndex {
            const IndexParams& params,
            std::span<const LocalPeptideId> subset);
 
-  // The hot arrays are spans that bind either to the owned vectors (built
-  // or stream-loaded) or to a mapped index file. Moves are safe — a moved
-  // std::vector keeps its heap buffer, so the spans stay valid — but a
-  // copy would leave the new spans pointing into the source, so copying is
-  // disallowed (the index is shared by reference everywhere it matters).
+  // The hot arrays are spans that bind either to the owned vectors (built)
+  // or to a mapped rank file. Moves are safe — a moved std::vector keeps
+  // its heap buffer, so the spans stay valid — but a copy would leave the
+  // new spans pointing into the source, so copying is disallowed (the
+  // index is shared by reference everywhere it matters).
   SlmIndex(const SlmIndex&) = delete;
   SlmIndex& operator=(const SlmIndex&) = delete;
   SlmIndex(SlmIndex&&) noexcept = default;
@@ -250,25 +250,16 @@ class SlmIndex {
   std::vector<std::uint32_t> bin_occupancy() const;
 
   /// Per-block bound metadata (one record per 128-posting block, v5).
-  /// Non-empty for built indexes and v5 loads alike.
+  /// Non-empty for built and mapped indexes alike.
   std::span<const BlockBound> block_bounds() const noexcept {
     return bounds_;
   }
 
-  /// Dumps the transformed arrays (bin offsets + postings) in the
-  /// versioned, checksummed container of index/serialize.hpp; reload with
-  /// `load` against the SAME store contents to skip re-fragmentation —
-  /// this is what makes the paper's disk-resident chunks cheap to swap in.
-  /// `load` throws IoError on corrupt input or mismatched IndexParams.
-  void save(std::ostream& out) const;
-  static SlmIndex load(std::istream& in, const PeptideStore& store,
-                       const chem::ModificationSet& mods,
-                       const IndexParams& params);
-
  private:
   // ChunkedIndex drives query_impl directly so one span build serves every
   // chunk (chunks share IndexParams, hence binning; spans depend only on
-  // the spectrum, the tolerance and the binning).
+  // the spectrum, the tolerance and the binning), and it owns the on-disk
+  // form: each chunk is one arrays payload inside a rank file.
   friend class ChunkedIndex;
 
   SlmIndex(const PeptideStore& store, const chem::ModificationSet& mods,
@@ -277,9 +268,9 @@ class SlmIndex {
   /// Points the spans at the owned storage vectors.
   void bind_owned() noexcept;
 
-  // Raw transformed-array payload (format v6, no framing): what `save`
-  // wraps in a checksummed raw section and ChunkedIndex records per chunk
-  // in its directory. Layout, starting 8-aligned:
+  // Raw transformed-array payload (format v6, no framing): what
+  // ChunkedIndex writes per chunk and records, with its CRC, in the chunk
+  // directory. Layout, starting 8-aligned:
   //   [bin_offset_count u64][posting_count u64]
   //   [block_count u64][packed_byte_count u64]
   //   bin_offsets u32[],             zero-padded to 8
@@ -297,7 +288,7 @@ class SlmIndex {
 
   /// Guarantees blocks_/packed_ describe the postings: a no-op when the
   /// index is already packed (or the pack is cached), one deterministic
-  /// codec::encode otherwise. Const because `save` needs it; the cache
+  /// codec::encode otherwise. Const because saving needs it; the cache
   /// lives in mutable storage and never changes observable query results.
   void ensure_packed() const;
 
@@ -309,9 +300,9 @@ class SlmIndex {
                                      QueryArena& arena) const;
 
   /// Parses one arrays payload from `payload` (positioned at its start,
-  /// 8-aligned phase) and validates structure. With a `keepalive` mapping
-  /// the spans bind in place (zero copy); without one the arrays are
-  /// copied into owned storage. Throws IoError on corrupt input.
+  /// 8-aligned phase) inside the mapping `keepalive` owns, validates its
+  /// structure and binds the spans in place (zero copy, packed mode).
+  /// Throws IoError on corrupt input.
   static SlmIndex parse_arrays_payload(
       bin::ByteReader& payload, const PeptideStore& store,
       const chem::ModificationSet& mods, const IndexParams& params,
@@ -370,19 +361,18 @@ class SlmIndex {
 
   // Bit-packed posting blocks (format v4, index/posting_codec.hpp). A
   // built index stays raw u32 — the zero-overhead path — and packs once,
-  // lazily, when saved (mutable cache below). A v4 warm start arrives
-  // packed: eager loads decode back to u32 at parse and discard the
-  // packed form; mapped loads bind these spans into the mapping and the
-  // span walk decodes through posting_slice at query time. In packed
-  // mode postings_ is empty and posting_count_ carries the total.
+  // lazily, when saved (mutable cache below). A warm start arrives
+  // packed: these spans bind into the mapping and the span walk decodes
+  // through posting_slice at query time. In packed mode postings_ is
+  // empty and posting_count_ carries the total.
   mutable std::span<const codec::BlockMeta> blocks_;
   mutable std::span<const std::byte> packed_;
   mutable std::vector<codec::BlockMeta> blocks_storage_;
   mutable std::vector<std::byte> packed_storage_;
   mutable bool packed_cached_ = false;
 
-  // Per-block bound metadata (v5). Computed at build, parsed (and
-  // validated) from v5 payloads; mapped loads bind the span in place.
+  // Per-block bound metadata (v5). Computed at build; a mapped chunk
+  // validates the on-disk records and binds the span in place.
   std::span<const BlockBound> bounds_;
   std::vector<BlockBound> bounds_storage_;
   // The built-over ids in (mass, id) order (v6); mapped loads bind in place.

@@ -98,9 +98,13 @@ void index_io_warm_start(BenchContext& ctx) {
     index::save_index_bundle(dir, bundle);
   });
 
+  // A full load: map every rank file, then materialize (CRC-check,
+  // validate, bind) every chunk — prepare's self-check, and the most a
+  // warm start can ever pay for its indexes.
   index::IndexBundle loaded;
   const SampleStats load_stats = ctx.time_hot([&] {
     loaded = index::load_index_bundle(dir, workload.mods);
+    for (const auto& rank : loaded.per_rank) rank->materialize_all();
   });
 
   std::uint64_t bundle_bytes =
@@ -160,7 +164,7 @@ void index_io_warm_start(BenchContext& ctx) {
   ctx.result.add_metric("warm_speedup_vs_build", warm_speedup);
 }
 
-/// Current (not peak) resident set, so the two load paths can be compared
+/// Current (not peak) resident set, so the mapped load can be measured
 /// within one process: peak RSS is a monotone high-water mark the cold
 /// build already raised.
 std::uint64_t current_rss_bytes() {
@@ -181,17 +185,20 @@ std::uint64_t bundle_index_heap_bytes(const index::IndexBundle& bundle) {
   return total;
 }
 
-// The mmap warm start (format v3): load_index_bundle(kMapped) validates
-// only metadata and binds arrays in place, materializing chunks on first
-// query touch. A narrow precursor window therefore reaches its first query
-// having read a fraction of the bundle — the two axes measured here are
-// time-to-first-query and resident index memory, against the eager load.
+// The mmap warm start (format v3): load_index_bundle validates only
+// metadata and binds arrays in place, materializing chunks on first query
+// touch. A narrow precursor window therefore reaches its first query
+// having read a fraction of the bundle — measured here as time-to-first-
+// query, chunks touched and resident index heap, with the in-memory built
+// bundle as the reference for both results and heap.
 void index_io_mmap_warm_start(BenchContext& ctx) {
   using namespace lbe;
   Figure fig("index_io: mmap warm start",
-             "mapped lazy-chunk load vs eager load, narrow-window search",
-             "mmap warm start reaches its first query faster and resident "
-             "in less memory than the eager load, with identical results",
+             "mapped lazy-chunk load vs the built bundle, narrow-window "
+             "search",
+             "a mapped warm start answers a narrow-window query after "
+             "touching a few chunks, holding less heap than the built "
+             "bundle, with identical results",
              {"metric", "value"});
 
   const auto& workload = ctx.workload(kEntries, kQueries);
@@ -208,21 +215,17 @@ void index_io_mmap_warm_start(BenchContext& ctx) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "lbe_bench_index_io_mmap")
           .string();
-  {
-    index::IndexBundle bundle;
-    bundle.lbe = lbe;
-    bundle.index_params = params.index;
-    bundle.chunking = params.chunking;
-    bundle.mapping = plan.mapping();
-    for (int rank = 0; rank < kRanks; ++rank) {
-      bundle.per_rank.push_back(std::make_unique<index::ChunkedIndex>(
-          plan.build_rank_store(rank), plan.mods(), bundle.index_params,
-          bundle.chunking));
-    }
-    index::save_index_bundle(dir, bundle);
-    // The bundle (and its peak-RSS high-water) drops here; the loads below
-    // are measured with current RSS, which does come back down.
+  index::IndexBundle built;
+  built.lbe = lbe;
+  built.index_params = params.index;
+  built.chunking = params.chunking;
+  built.mapping = plan.mapping();
+  for (int rank = 0; rank < kRanks; ++rank) {
+    built.per_rank.push_back(std::make_unique<index::ChunkedIndex>(
+        plan.build_rank_store(rank), plan.mods(), built.index_params,
+        built.chunking));
   }
+  index::save_index_bundle(dir, built);
 
   // One narrow-window query: the "partition once, search many" consumer a
   // prepared bundle exists for. ±1.5 Da touches a handful of chunks.
@@ -239,13 +242,11 @@ void index_io_mmap_warm_start(BenchContext& ctx) {
     return candidates;
   };
 
-  // Mapped first (so the eager load cannot warm anything for it), each
-  // path timed as load + first answered query = "first-query readiness".
+  // Timed as load + first answered query = "first-query readiness".
   const std::uint64_t rss_before_mapped = current_rss_bytes();
   index::IndexBundle mapped;
   Stopwatch mapped_timer;
-  mapped = index::load_index_bundle(dir, workload.mods,
-                                    index::BundleLoadMode::kMapped);
+  mapped = index::load_index_bundle(dir, workload.mods);
   const auto mapped_candidates = first_query(mapped);
   const double mapped_ready_seconds = mapped_timer.seconds();
   const std::uint64_t rss_after_mapped = current_rss_bytes();
@@ -256,32 +257,25 @@ void index_io_mmap_warm_start(BenchContext& ctx) {
     chunks_total += rank->num_chunks();
     chunks_loaded += rank->num_chunks_loaded();
   }
-
-  const std::uint64_t rss_before_eager = current_rss_bytes();
-  index::IndexBundle eager;
-  Stopwatch eager_timer;
-  eager = index::load_index_bundle(dir, workload.mods,
-                                   index::BundleLoadMode::kEager);
-  const auto eager_candidates = first_query(eager);
-  const double eager_ready_seconds = eager_timer.seconds();
-  const std::uint64_t rss_after_eager = current_rss_bytes();
-
   fig.check("narrow window materializes only intersecting chunks",
             chunks_loaded > 0 && chunks_loaded < chunks_total);
-  bool same = mapped_candidates.size() == eager_candidates.size();
+
+  const auto built_candidates = first_query(built);
+  bool same = mapped_candidates.size() == built_candidates.size();
   for (std::size_t i = 0; same && i < mapped_candidates.size(); ++i) {
-    same = mapped_candidates[i].peptide == eager_candidates[i].peptide &&
+    same = mapped_candidates[i].peptide == built_candidates[i].peptide &&
            mapped_candidates[i].shared_peaks ==
-               eager_candidates[i].shared_peaks;
+               built_candidates[i].shared_peaks;
   }
-  fig.check("mapped narrow-window candidates identical to eager", same);
+  fig.check("mapped narrow-window candidates identical to the built bundle",
+            same);
   const std::uint64_t mapped_heap = bundle_index_heap_bytes(mapped);
-  const std::uint64_t eager_heap = bundle_index_heap_bytes(eager);
-  fig.check("mapped index resident heap below eager load",
-            mapped_heap < eager_heap);
+  const std::uint64_t built_heap = bundle_index_heap_bytes(built);
+  fig.check("mapped index resident heap below the built bundle",
+            mapped_heap < built_heap);
   // Wall-clock readiness is reported as a metric, not gated: this suite
   // runs in every CI cell (incl. ASan on shared runners), where a
-  // scheduler hiccup could invert a race the deterministic chunks-loaded
+  // scheduler hiccup could skew a timing the deterministic chunks-loaded
   // and heap checks above already pin down structurally.
 
   // Full equivalence under the real engine: an open search over the mapped
@@ -300,43 +294,32 @@ void index_io_mmap_warm_start(BenchContext& ctx) {
 
   std::filesystem::remove_all(dir);
 
-  const auto rss_delta = [](std::uint64_t before, std::uint64_t after) {
-    return after > before ? after - before : 0;
-  };
+  const std::uint64_t rss_delta = rss_after_mapped > rss_before_mapped
+                                      ? rss_after_mapped - rss_before_mapped
+                                      : 0;
   const auto total_u64 = static_cast<std::uint64_t>(chunks_total);
   const auto loaded_u64 = static_cast<std::uint64_t>(chunks_loaded);
   fig.row({"mmap_ready_seconds", bench::fmt(mapped_ready_seconds)});
-  fig.row({"eager_ready_seconds", bench::fmt(eager_ready_seconds)});
   fig.row({"chunks_total", bench::fmt(total_u64)});
   fig.row({"chunks_loaded_narrow", bench::fmt(loaded_u64)});
   fig.row({"mmap_index_heap_bytes", bench::fmt(mapped_heap)});
-  fig.row({"eager_index_heap_bytes", bench::fmt(eager_heap)});
-  fig.note("mmap first-query readiness " +
-           bench::fmt(eager_ready_seconds /
-                      std::max(mapped_ready_seconds, 1e-9)) +
-           "x faster than eager load; " + bench::fmt(loaded_u64) + "/" +
-           bench::fmt(total_u64) + " chunks touched");
+  fig.row({"built_index_heap_bytes", bench::fmt(built_heap)});
+  fig.note("mmap first query answered after touching " +
+           bench::fmt(loaded_u64) + "/" + bench::fmt(total_u64) +
+           " chunks");
   fig.finish();
   ctx.absorb_checks(fig);
   ctx.result.add_metric("mmap_ready_seconds", mapped_ready_seconds);
-  ctx.result.add_metric("eager_ready_seconds", eager_ready_seconds);
-  ctx.result.add_metric("mmap_ready_speedup",
-                        eager_ready_seconds /
-                            std::max(mapped_ready_seconds, 1e-9));
   ctx.result.add_metric("chunks_total",
                         static_cast<double>(chunks_total));
   ctx.result.add_metric("chunks_loaded_narrow",
                         static_cast<double>(chunks_loaded));
   ctx.result.add_metric("mmap_index_heap_bytes",
                         static_cast<double>(mapped_heap));
-  ctx.result.add_metric("eager_index_heap_bytes",
-                        static_cast<double>(eager_heap));
-  ctx.result.add_metric(
-      "mmap_load_rss_delta_bytes",
-      static_cast<double>(rss_delta(rss_before_mapped, rss_after_mapped)));
-  ctx.result.add_metric(
-      "eager_load_rss_delta_bytes",
-      static_cast<double>(rss_delta(rss_before_eager, rss_after_eager)));
+  ctx.result.add_metric("built_index_heap_bytes",
+                        static_cast<double>(built_heap));
+  ctx.result.add_metric("mmap_load_rss_delta_bytes",
+                        static_cast<double>(rss_delta));
 }
 
 }  // namespace
@@ -347,7 +330,7 @@ void register_index_io_benches(BenchRegistry& registry) {
                             "equivalence",
                             index_io_warm_start});
   registry.add(BenchmarkDef{"index_io_mmap_warm_start", "index_io",
-                            "mmap lazy warm start vs eager load: "
+                            "mmap lazy warm start vs the built bundle: "
                             "first-query readiness, resident memory, "
                             "equivalence",
                             index_io_mmap_warm_start});

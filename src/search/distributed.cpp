@@ -251,6 +251,7 @@ void run_search_worker_rank(mpi::Comm& comm,
   wire::RankStats stats;
   stats.index_entries = own.index.view->num_peptides();
   stats.index_bytes = own.index.view->memory_bytes();
+  stats.mapped_bytes = own.index.view->mapped_bytes();
   times.build_done = comm.vclock();
   comm.barrier();
   times.query_start = comm.vclock();
@@ -345,6 +346,7 @@ DistributedReport run_distributed_search(
   report.times.assign(static_cast<std::size_t>(p), PhaseTimes{});
   report.work.assign(static_cast<std::size_t>(p), index::QueryWork{});
   report.index_bytes.assign(static_cast<std::size_t>(p), 0);
+  report.mapped_bytes.assign(static_cast<std::size_t>(p), 0);
   report.index_entries.assign(static_cast<std::size_t>(p), 0);
   report.batches_executed.assign(static_cast<std::size_t>(p), 0);
   report.batches_stolen.assign(static_cast<std::size_t>(p), 0);
@@ -406,6 +408,7 @@ DistributedReport run_distributed_search(
     const Executor& own = runner.executor_for(0);
     report.index_entries[0] = own.index.view->num_peptides();
     report.index_bytes[0] = own.index.view->memory_bytes();
+    report.mapped_bytes[0] = own.index.view->mapped_bytes();
     times.build_done = comm.vclock();
     comm.barrier();
     times.query_start = comm.vclock();
@@ -661,6 +664,7 @@ DistributedReport run_distributed_search(
       report.times[slot] = stats.times;
       report.work[slot] = stats.work;
       report.index_bytes[slot] = stats.index_bytes;
+      report.mapped_bytes[slot] = stats.mapped_bytes;
       report.index_entries[slot] = stats.index_entries;
       report.batches_executed[slot] = stats.batches_executed;
       report.batches_stolen[slot] = stats.batches_stolen;

@@ -116,7 +116,10 @@ struct QueryCostRecord {
 struct DistributedReport {
   std::vector<PhaseTimes> times;           ///< per rank
   std::vector<index::QueryWork> work;      ///< per rank, deterministic
-  std::vector<std::uint64_t> index_bytes;  ///< per rank partial index memory
+  std::vector<std::uint64_t> index_bytes;  ///< per rank partial index heap
+  /// Per rank size of the mapped rank file behind the partial index (0 for
+  /// a built one) — where a warm rank's arrays live instead of the heap.
+  std::vector<std::uint64_t> mapped_bytes;
   std::vector<std::uint64_t> index_entries;  ///< per rank peptide entries
   std::uint64_t mapping_bytes = 0;         ///< master-side mapping table
   std::vector<GlobalQueryResult> results;  ///< final, at master

@@ -220,6 +220,7 @@ mpi::Bytes encode_rank_stats(const RankStats& stats) {
   writer.pod(stats.times.finish);
   write_query_work(writer, stats.work);
   writer.pod(stats.index_bytes);
+  writer.pod(stats.mapped_bytes);
   writer.pod(stats.index_entries);
   writer.pod(stats.batches_executed);
   writer.pod(stats.batches_stolen);
@@ -289,6 +290,7 @@ RankStats decode_rank_stats(const mpi::Bytes& payload) {
   stats.times.finish = reader.pod<double>();
   stats.work = read_query_work(reader);
   stats.index_bytes = reader.pod<std::uint64_t>();
+  stats.mapped_bytes = reader.pod<std::uint64_t>();
   stats.index_entries = reader.pod<std::uint64_t>();
   stats.batches_executed = reader.pod<std::uint64_t>();
   stats.batches_stolen = reader.pod<std::uint64_t>();

@@ -114,7 +114,8 @@ StealTailCut decode_steal_tail_cut(const mpi::Bytes& payload);
 struct RankStats {
   PhaseTimes times;
   index::QueryWork work;
-  std::uint64_t index_bytes = 0;
+  std::uint64_t index_bytes = 0;   ///< owned heap of the partial index
+  std::uint64_t mapped_bytes = 0;  ///< its rank file's mapping (0 if built)
   std::uint64_t index_entries = 0;
   std::uint64_t batches_executed = 0;  ///< result batches this rank searched
   std::uint64_t batches_stolen = 0;    ///< of those, claimed from other ranks

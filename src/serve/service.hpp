@@ -46,8 +46,8 @@ struct ServingContext {
 };
 
 /// Builds the context the daemon serves: database (plan file > FASTA >
-/// synthetic), LBE plan, and the warm bundle from `opts.index_dir`
-/// (mmapped when `opts.index_mmap`). Unlike one-shot search, a bundle
+/// synthetic), LBE plan, and the warm bundle mapped from `opts.index_dir`.
+/// Unlike one-shot search, a bundle
 /// mismatch is fatal here — a daemon must never silently fall back to a
 /// cold rebuild of something else than what the operator pointed it at.
 std::shared_ptr<ServingContext> load_serving_context(

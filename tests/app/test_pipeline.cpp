@@ -5,6 +5,7 @@
 // non-empty and deterministic.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,7 +13,9 @@
 #include "app/commands.hpp"
 #include "app/options.hpp"
 #include "app/pipeline.hpp"
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
+#include "index/serialize.hpp"
 #include "search/distributed.hpp"
 
 namespace lbe::app {
@@ -119,9 +122,9 @@ std::string slurp(const std::string& path) {
 }
 
 // The acceptance path for `search --index`: a warm start over the saved
-// bundle — through BOTH load paths, eager (--mmap off) and mapped lazy
-// (--mmap on, the default) — must produce a byte-identical psms.tsv to
-// the cold rebuild.
+// bundle must produce a byte-identical psms.tsv to the cold rebuild —
+// whether chunks materialize lazily (index_mmap, the default) or all up
+// front (index_mmap = false, prepare's self-check). Both map every rank.
 TEST(LbectlPipeline, WarmStartSearchIsByteIdenticalToColdRebuild) {
   const AppOptions opts = small_options();
   const PipelineInputs inputs = prepare_inputs(opts);
@@ -137,23 +140,95 @@ TEST(LbectlPipeline, WarmStartSearchIsByteIdenticalToColdRebuild) {
   const std::string cold_psms = slurp(cold_dir + "/psms.tsv");
   EXPECT_FALSE(cold_psms.empty());
 
-  for (const bool mmap_mode : {true, false}) {
+  for (const bool lazy : {true, false}) {
     AppOptions warm_opts = opts;
-    warm_opts.index_mmap = mmap_mode;
+    warm_opts.index_mmap = lazy;
     const auto warm =
         try_load_warm_indexes(dir, plan, inputs.database, warm_opts);
     ASSERT_NE(warm, nullptr);
     for (const auto& rank : warm->per_rank) {
-      EXPECT_EQ(rank->mapped(), mmap_mode);
+      EXPECT_TRUE(rank->mapped());
+      EXPECT_GT(rank->mapped_bytes(), 0u);
+      EXPECT_EQ(rank->num_chunks_loaded(), lazy ? 0u : rank->num_chunks());
     }
     const SearchOutcome warmed =
         run_search_pipeline(plan, inputs.queries, warm_opts, warm.get());
+    for (std::size_t rank = 0; rank < warm->per_rank.size(); ++rank) {
+      EXPECT_EQ(warmed.report.mapped_bytes[rank],
+                warm->per_rank[rank]->mapped_bytes());
+    }
     const std::string warm_dir =
-        dir + (mmap_mode ? "/warm_mmap" : "/warm_eager");
+        dir + (lazy ? "/warm_lazy" : "/warm_materialized");
     write_reports(warm_dir, plan, warmed);
     EXPECT_EQ(cold_psms, slurp(warm_dir + "/psms.tsv"))
-        << (mmap_mode ? "mmap" : "eager") << " warm start diverged";
+        << (lazy ? "lazy" : "materialized") << " warm start diverged";
   }
+  fs::remove_all(dir);
+}
+
+// The self-check (index_mmap = false) must still verify every byte of
+// every chunk: one flipped byte inside a chunk payload is an IoError at
+// load, while a lazy load only finds it on first touch.
+TEST(LbectlPipeline, SelfCheckVerifiesEveryChunk) {
+  AppOptions opts = small_options();
+  opts.search.chunking.max_chunk_entries = 500;  // several chunks per rank
+  const PipelineInputs inputs = prepare_inputs(opts);
+  const PlanBundle plan = build_plan(inputs.database, opts);
+
+  const std::string dir = ::testing::TempDir() + "/lbe_self_check";
+  index::save_index_bundle(dir,
+                           build_index_bundle(plan, inputs.database, opts));
+  AppOptions self_check = opts;
+  self_check.index_mmap = false;
+  std::size_t rank0_chunks = 0;
+  {
+    const auto clean =
+        try_load_warm_indexes(dir, plan, inputs.database, self_check);
+    ASSERT_NE(clean, nullptr);
+    for (const auto& rank : clean->per_rank) {
+      EXPECT_GE(rank->num_chunks(), 3u);
+      EXPECT_EQ(rank->num_chunks_loaded(), rank->num_chunks());
+    }
+    rank0_chunks = clean->per_rank[0]->num_chunks();
+  }
+
+  // Flip one byte in the middle of rank 0's second chunk payload, located
+  // through the chunk directory: a raw-section frame ([tag u32][size u64]
+  // [crc u32]) over 40-byte entries, extent offset at +16 and size at +24.
+  const std::string rank_file = index::bundle_rank_path(dir, 0);
+  std::string bytes = slurp(rank_file);
+  const std::uint64_t dir_size = rank0_chunks * 40;
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+  for (std::size_t p = 16; p + dir_size <= bytes.size(); p += 8) {
+    std::uint32_t tag = 0;
+    std::uint64_t section_size = 0;
+    std::uint32_t crc = 0;
+    std::memcpy(&tag, bytes.data() + p - 16, sizeof(tag));
+    std::memcpy(&section_size, bytes.data() + p - 12, sizeof(section_size));
+    std::memcpy(&crc, bytes.data() + p - 4, sizeof(crc));
+    if (tag != index::serialize::kSecChunkDir || section_size != dir_size ||
+        bin::crc32(bytes.data() + p, dir_size) != crc) {
+      continue;
+    }
+    std::memcpy(&offset, bytes.data() + p + 40 + 16, sizeof(offset));
+    std::memcpy(&size, bytes.data() + p + 40 + 24, sizeof(size));
+    break;
+  }
+  ASSERT_GT(size, 0u);
+  ASSERT_LE(offset + size, bytes.size());
+  bytes[offset + size / 2] = static_cast<char>(bytes[offset + size / 2] ^ 0x01);
+  fs::remove(rank_file);  // a fresh inode: no mapping above sees the edit
+  {
+    std::ofstream out(rank_file, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  EXPECT_THROW(try_load_warm_indexes(dir, plan, inputs.database, self_check),
+               IoError);
+  const auto lazy = try_load_warm_indexes(dir, plan, inputs.database, opts);
+  ASSERT_NE(lazy, nullptr);
+  EXPECT_THROW(lazy->per_rank[0]->materialize_all(), IoError);
   fs::remove_all(dir);
 }
 
@@ -294,6 +369,9 @@ TEST(LbectlCli, ParsesOverridesAndFlags) {
 TEST(LbectlCli, RejectsUnknownKeys) {
   const char* argv[] = {"lbectl", "search", "--rankz", "8"};
   EXPECT_THROW(parse_cli(4, argv), ConfigError);
+  // Rank files are always mapped: there is no load-path key.
+  EXPECT_THROW(options_from_config(Config::from_string("mmap = off\n")),
+               ConfigError);
   EXPECT_THROW(options_from_config(
                    Config::from_string("definitely_unknown = 1\n")),
                ConfigError);

@@ -37,6 +37,11 @@ TEST(MmapFile, MapsFileBytes) {
   EXPECT_EQ(std::memcmp(map->bytes().data(), content.data(), content.size()),
             0);
   EXPECT_EQ(map->path(), path);
+
+  // Releasing the resident pages keeps the mapping readable.
+  map->release_resident();
+  EXPECT_EQ(std::memcmp(map->bytes().data(), content.data(), content.size()),
+            0);
 }
 
 TEST(MmapFile, MissingFileThrows) {

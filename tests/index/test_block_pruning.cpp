@@ -1,11 +1,13 @@
-// Block-max pruning (format v5 bound metadata): bound construction,
-// serialization round trips, corruption handling, and — the property the
-// whole feature rests on — exact candidate equivalence between the pruned
-// and unpruned walks, raw and packed, flat and chunked.
+// Block-max pruning (format v5 bound metadata): bound construction, round
+// trips through a mapped rank file, corruption handling, and — the
+// property the whole feature rests on — exact candidate equivalence
+// between the pruned and unpruned walks, raw and packed, flat and chunked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -75,6 +77,10 @@ class BlockPruningTest : public ::testing::Test {
       }
     }
     return true;
+  }
+
+  static std::string temp_path(const char* name) {
+    return ::testing::TempDir() + "/" + name;
   }
 
   chem::ModificationSet mods_ = chem::ModificationSet::paper_default();
@@ -276,22 +282,14 @@ TEST_F(BlockPruningTest, ScoreFloorPrunesLaterChunks) {
 }
 
 TEST_F(BlockPruningTest, SaveLoadRoundTripPreservesBounds) {
-  const auto store = workload_store();
-  const SlmIndex built(store, mods_, params_);
-  std::stringstream stream;
-  built.save(stream);
-  const SlmIndex loaded = SlmIndex::load(stream, store, mods_, params_);
+  const ChunkedIndex built(workload_store(), mods_, params_,
+                           ChunkingParams{});
+  const std::string path = temp_path("bpr_roundtrip.idx");
+  built.save_file(path);
+  const auto loaded = ChunkedIndex::map_file(path, mods_, params_);
+  std::filesystem::remove(path);  // the mapping keeps the pages
 
-  const auto a = built.block_bounds();
-  const auto b = loaded.block_bounds();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].mass_lo, b[i].mass_lo);
-    EXPECT_EQ(a[i].mass_hi, b[i].mass_hi);
-    EXPECT_EQ(a[i].max_frags, b[i].max_frags);
-  }
-
-  // And the loaded index prunes exactly like the built one.
+  // The mapped index prunes exactly like the built one.
   QueryParams pruned = query_;
   pruned.precursor_tolerance = 50.0;
   for (const auto& spectrum : workload().queries) {
@@ -300,30 +298,50 @@ TEST_F(BlockPruningTest, SaveLoadRoundTripPreservesBounds) {
     QueryWork wb;
     QueryWork wl;
     built.query(spectrum, pruned, out_built, wb);
-    loaded.query(spectrum, pruned, out_loaded, wl);
+    loaded->query(spectrum, pruned, out_loaded, wl);
     EXPECT_TRUE(same_candidates(out_built, out_loaded));
     EXPECT_EQ(wb.blocks_pruned, wl.blocks_pruned);
   }
+
+  // And its bounds survive bit for bit: re-saving the mapped index
+  // reproduces every byte of the original, bound records included.
+  std::ostringstream saved;
+  std::ostringstream resaved;
+  built.save(saved);
+  loaded->save(resaved);
+  EXPECT_EQ(saved.str(), resaved.str());
 }
 
 TEST_F(BlockPruningTest, CorruptedBoundBytesAreIoError) {
-  const auto store = make_store({"PEPTIDEK", "MKWVTFISLLK", "GGGGGGK"});
-  const SlmIndex index(store, mods_, params_);
-  std::stringstream stream;
+  const ChunkedIndex index(make_store({"PEPTIDEK", "MKWVTFISLLK", "GGGGGGK"}),
+                           mods_, params_, ChunkingParams{});
+  std::ostringstream stream;
   index.save(stream);
-  std::string bytes = stream.str();
+  const std::string clean = stream.str();
+  const auto map_all = [&](const std::string& bytes, const char* name) {
+    const std::string path = temp_path(name);
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
+    std::filesystem::remove(path);
+    mapped->materialize_all();
+  };
+  ASSERT_NO_THROW(map_all(clean, "bpr_clean.idx"));
 
-  // The BlockBound records sit at the tail of the arrays payload; flip one
-  // byte there. Whether the container CRC or the bound validation catches
-  // it, the contract is the same: IoError, never a silently wrong bound.
-  ASSERT_GT(bytes.size(), 64u);
+  // The BlockBound records sit near the tail of the single chunk's arrays
+  // payload (only the 3-id mass order follows); flip one byte there.
+  // Whether the chunk CRC or the bound validation catches it, the contract
+  // is the same: IoError, never a silently wrong bound.
+  ASSERT_GT(clean.size(), 64u);
+  std::string bytes = clean;
   bytes[bytes.size() - 48] ^= 0x40;
-  std::istringstream corrupted(bytes);
-  EXPECT_THROW(SlmIndex::load(corrupted, store, mods_, params_), IoError);
+  EXPECT_THROW(map_all(bytes, "bpr_flip.idx"), IoError);
 
   // Truncation inside the bounds region is IoError too.
-  std::istringstream truncated(stream.str().substr(0, bytes.size() - 24));
-  EXPECT_THROW(SlmIndex::load(truncated, store, mods_, params_), IoError);
+  EXPECT_THROW(map_all(clean.substr(0, clean.size() - 24), "bpr_cut.idx"),
+               IoError);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// The mmap warm-start path (format v4): mapped indexes must answer queries
-// identically to eagerly loaded ones — decoding bit-packed posting spans
-// per query — materialize only the chunks a precursor window touches, and
-// turn EVERY corruption — flipped bit (including inside a packed posting
-// extent), truncation, wrong version — into IoError at map time or first
-// touch, never a silently different result.
+// The mmap warm-start path (format v4), the one way a rank file is read:
+// mapped indexes must answer queries identically to the built index —
+// decoding bit-packed posting spans per query — materialize only the
+// chunks a precursor window touches, and turn EVERY corruption — flipped
+// bit (including inside a packed posting extent), truncation, wrong
+// version — into IoError at map time or first touch, never a silently
+// different result.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,13 +43,19 @@ class MmapIndexTest : public ::testing::Test {
     return store;
   }
 
-  /// Saves a chunked index (2 entries per chunk => 3 chunks) to a file.
-  std::string save_chunked(const std::string& name) {
+  /// The reference: the index built in memory (2 entries per chunk => 3
+  /// chunks).
+  std::unique_ptr<ChunkedIndex> build_chunked() {
     ChunkingParams chunking;
     chunking.max_chunk_entries = 2;
-    const ChunkedIndex original(make_store(), mods_, params_, chunking);
+    return std::make_unique<ChunkedIndex>(make_store(), mods_, params_,
+                                          chunking);
+  }
+
+  /// Saves build_chunked() to a file.
+  std::string save_chunked(const std::string& name) {
     const std::string path = ::testing::TempDir() + "/" + name;
-    original.save_file(path);
+    build_chunked()->save_file(path);
     return path;
   }
 
@@ -61,15 +68,17 @@ class MmapIndexTest : public ::testing::Test {
   IndexParams params_;
 };
 
-TEST_F(MmapIndexTest, MappedQueriesAgreeWithEagerLoad) {
+TEST_F(MmapIndexTest, MappedQueriesAgreeWithBuiltIndex) {
   const std::string path = save_chunked("mmap_roundtrip.idx");
-  const auto eager = ChunkedIndex::load_file(path, mods_, params_);
+  const auto built = build_chunked();
   const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
 
   EXPECT_TRUE(mapped->mapped());
   EXPECT_TRUE(mapped->store().mapped());
-  EXPECT_EQ(mapped->num_chunks(), eager->num_chunks());
-  EXPECT_EQ(mapped->num_peptides(), eager->num_peptides());
+  EXPECT_FALSE(built->mapped());
+  EXPECT_EQ(mapped->num_chunks(), built->num_chunks());
+  EXPECT_EQ(mapped->num_peptides(), built->num_peptides());
+  EXPECT_EQ(mapped->mapped_bytes(), fs::file_size(path));
 
   QueryParams filter;
   filter.shared_peak_min = 1;
@@ -79,7 +88,7 @@ TEST_F(MmapIndexTest, MappedQueriesAgreeWithEagerLoad) {
     std::vector<Candidate> b;
     QueryWork wa;
     QueryWork wb;
-    eager->query(spectrum, filter, a, wa);
+    built->query(spectrum, filter, a, wa);
     mapped->query(spectrum, filter, b, wb);
     ASSERT_EQ(a.size(), b.size()) << seq;
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -89,9 +98,24 @@ TEST_F(MmapIndexTest, MappedQueriesAgreeWithEagerLoad) {
     }
     EXPECT_EQ(wa.postings_touched, wb.postings_touched);
   }
-  // num_postings forces full materialization; totals must agree.
-  EXPECT_EQ(mapped->num_postings(), eager->num_postings());
+  // The open queries above touched every chunk; totals must agree.
   EXPECT_EQ(mapped->num_chunks_loaded(), mapped->num_chunks());
+  EXPECT_EQ(mapped->num_postings(), built->num_postings());
+}
+
+TEST_F(MmapIndexTest, MaterializeAllBindsEveryChunkUpFront) {
+  const std::string path = save_chunked("mmap_materialize.idx");
+  const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
+  ASSERT_EQ(mapped->num_chunks(), 3u);
+  EXPECT_EQ(mapped->num_chunks_loaded(), 0u);
+  mapped->materialize_all();
+  EXPECT_EQ(mapped->num_chunks_loaded(), mapped->num_chunks());
+  mapped->materialize_all();  // idempotent
+  EXPECT_EQ(mapped->num_chunks_loaded(), mapped->num_chunks());
+  // A built index is resident from the start: nothing to do.
+  const auto built = build_chunked();
+  built->materialize_all();
+  EXPECT_EQ(built->num_chunks_loaded(), built->num_chunks());
 }
 
 TEST_F(MmapIndexTest, NarrowWindowMaterializesOnlyIntersectingChunks) {
@@ -112,11 +136,10 @@ TEST_F(MmapIndexTest, NarrowWindowMaterializesOnlyIntersectingChunks) {
   EXPECT_GE(mapped->num_chunks_loaded(), 1u);
   EXPECT_LT(mapped->num_chunks_loaded(), mapped->num_chunks());
 
-  // The eager oracle agrees on the same narrow window.
-  const auto eager = ChunkedIndex::load_file(path, mods_, params_);
+  // The built index agrees on the same narrow window.
   std::vector<Candidate> oracle;
   QueryWork oracle_work;
-  eager->query(spectrum, narrow, oracle, oracle_work);
+  build_chunked()->query(spectrum, narrow, oracle, oracle_work);
   ASSERT_EQ(candidates.size(), oracle.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(candidates[i].peptide, oracle[i].peptide);
@@ -133,9 +156,8 @@ TEST_F(MmapIndexTest, ConcurrentFirstTouchIsSafe) {
 
   std::vector<Candidate> expected;
   {
-    const auto eager = ChunkedIndex::load_file(path, mods_, params_);
     QueryWork work;
-    eager->query(spectrum, filter, expected, work);
+    build_chunked()->query(spectrum, filter, expected, work);
   }
 
   // Many threads race the open-search first touch of every chunk.
@@ -194,7 +216,7 @@ TEST_F(MmapIndexTest, EveryFlippedBitFailsAtMapOrFirstTouch) {
           std::vector<Candidate> candidates;
           QueryWork work;
           mapped->query(spectrum, open_filter, candidates, work);
-          (void)mapped->num_postings();
+          mapped->materialize_all();
         },
         IoError)
         << "flipped bit at byte " << pos << " went undetected";
@@ -242,7 +264,7 @@ TEST_F(MmapIndexTest, PackedExtentBitFlipFailsAtFirstTouch) {
           std::vector<Candidate> candidates;
           QueryWork work;
           mapped->query(spectrum, open_filter, candidates, work);
-          (void)mapped->num_postings();
+          mapped->materialize_all();
         },
         IoError)
         << "flip " << back << " bytes from EOF went undetected";
@@ -323,7 +345,7 @@ TEST_F(MmapIndexTest, CorruptMassOrderFailsAtFirstTouch) {
       std::vector<Candidate> candidates;
       QueryWork work;
       mapped->query(theo("PEPTIDEK"), open_filter, candidates, work);
-      (void)mapped->num_postings();
+      mapped->materialize_all();
       ADD_FAILURE() << what << " went undetected";
     } catch (const IoError& e) {
       EXPECT_EQ(std::string(e.what()).find("checksum"), std::string::npos)
@@ -366,7 +388,7 @@ TEST_F(MmapIndexTest, TruncationFailsAtMapOrFirstTouch) {
         {
           const auto mapped =
               ChunkedIndex::map_file(cut_path, mods_, params_);
-          (void)mapped->num_postings();
+          mapped->materialize_all();
         },
         IoError)
         << "truncation to " << keep << " bytes went undetected";
@@ -403,16 +425,27 @@ TEST_F(MmapIndexTest, MapRejectsWrongVersionAndParams) {
 TEST_F(MmapIndexTest, SavingAMappedIndexRoundTrips) {
   const std::string path = save_chunked("mmap_resave.idx");
   const auto mapped = ChunkedIndex::map_file(path, mods_, params_);
-  // Saving materializes (and re-validates) every chunk.
-  std::stringstream buffer;
-  mapped->save(buffer);
-  const auto reloaded = ChunkedIndex::load(buffer, mods_, params_);
+  // Saving materializes (and re-validates) every chunk, and reproduces
+  // the file it was mapped from byte for byte.
+  const std::string resaved_path =
+      ::testing::TempDir() + "/mmap_resave_2.idx";
+  mapped->save_file(resaved_path);
+  EXPECT_EQ(mapped->num_chunks_loaded(), mapped->num_chunks());
+  const auto read_all = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  EXPECT_EQ(read_all(resaved_path), read_all(path));
+  const auto reloaded = ChunkedIndex::map_file(resaved_path, mods_, params_);
   EXPECT_EQ(reloaded->num_postings(), mapped->num_postings());
   EXPECT_EQ(reloaded->num_chunks(), mapped->num_chunks());
+  fs::remove(resaved_path);
 }
 
-TEST_F(MmapIndexTest, MappedBundleLoadMatchesEager) {
-  // Two hand-carved ranks, loaded via both bundle modes.
+TEST_F(MmapIndexTest, MappedBundleLoadMatchesBuilt) {
+  // Two hand-carved ranks, mapped back and compared with the built ones.
   IndexBundle bundle;
   bundle.lbe.partition.ranks = 2;
   bundle.index_params = params_;
@@ -429,18 +462,16 @@ TEST_F(MmapIndexTest, MappedBundleLoadMatchesEager) {
   const std::string dir = ::testing::TempDir() + "/lbe_bundle_mmap";
   save_index_bundle(dir, bundle);
 
-  const IndexBundle eager =
-      load_index_bundle(dir, mods_, BundleLoadMode::kEager);
-  const IndexBundle mapped =
-      load_index_bundle(dir, mods_, BundleLoadMode::kMapped);
-  ASSERT_EQ(mapped.ranks(), eager.ranks());
-  EXPECT_TRUE(mapped.mapping == eager.mapping);
+  const IndexBundle mapped = load_index_bundle(dir, mods_);
+  ASSERT_EQ(mapped.ranks(), bundle.ranks());
+  EXPECT_TRUE(mapped.mapping == bundle.mapping);
   for (int rank = 0; rank < mapped.ranks(); ++rank) {
     const auto& m = *mapped.per_rank[static_cast<std::size_t>(rank)];
-    const auto& e = *eager.per_rank[static_cast<std::size_t>(rank)];
+    const auto& b = *bundle.per_rank[static_cast<std::size_t>(rank)];
     EXPECT_TRUE(m.mapped());
-    EXPECT_EQ(m.num_peptides(), e.num_peptides());
-    EXPECT_EQ(m.num_postings(), e.num_postings());
+    EXPECT_EQ(m.num_chunks_loaded(), 0u);  // payloads stay cold
+    EXPECT_EQ(m.num_peptides(), b.num_peptides());
+    EXPECT_EQ(m.num_postings(), b.num_postings());
   }
   fs::remove_all(dir);
 }

@@ -1,21 +1,78 @@
 // Round-trip tests for the on-disk index format (the paper's disk-resident
-// chunks): every component — store, SLM index, chunked index, mapping
-// table, full per-rank bundle — survives save/load bit-exactly, queries
-// agree, and corrupted/mismatched files (bad magic, wrong version,
-// truncation, flipped bits anywhere) are rejected with IoError.
+// chunks): every component — store, chunked index, mapping table, full
+// per-rank bundle — survives save and map bit-exactly, queries agree with
+// the built index, and corrupted/mismatched files (bad magic, wrong
+// version, truncation, flipped bits anywhere) are rejected with IoError by
+// the time every chunk has been materialized.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/binary_io.hpp"
+#include "common/mmap_file.hpp"
 #include "index/serialize.hpp"
 #include "theospec/fragmenter.hpp"
 
 namespace lbe::index {
 namespace {
+
+/// Writes `bytes` to a fresh temporary file and returns its path. Every call
+/// gets its own name: rewriting a file another test still maps would pull
+/// pages out from under that mapping.
+std::string write_scratch(const std::string& bytes) {
+  static int counter = 0;
+  const std::string path = ::testing::TempDir() + "/serialize_" +
+                           std::to_string(counter++) + ".bin";
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+std::string saved_bytes(const ChunkedIndex& index) {
+  std::ostringstream out;
+  index.save(out);
+  return out.str();
+}
+
+/// Chunk directory entry offsets (format v3): 40 bytes per chunk, the
+/// extent offset at +16, its size at +24 and its CRC at +32.
+constexpr std::size_t kDirEntry = 40;
+
+/// Re-seals every chunk-payload CRC and the directory section CRC of a
+/// saved rank file with `chunks` chunks, so that only the structural
+/// validation can catch an edit to a payload.
+void reseal_chunks(std::string& bytes, std::size_t chunks) {
+  for (std::size_t p = 16; p + chunks * kDirEntry <= bytes.size(); p += 8) {
+    std::uint32_t tag = 0;
+    std::uint64_t size = 0;
+    std::uint32_t crc = 0;
+    std::memcpy(&tag, bytes.data() + p - 16, sizeof(tag));
+    std::memcpy(&size, bytes.data() + p - 12, sizeof(size));
+    std::memcpy(&crc, bytes.data() + p - 4, sizeof(crc));
+    if (tag != serialize::kSecChunkDir || size != chunks * kDirEntry ||
+        bin::crc32(bytes.data() + p, size) != crc) {
+      continue;
+    }
+    for (std::size_t c = 0; c < chunks; ++c) {
+      char* entry = bytes.data() + p + c * kDirEntry;
+      std::uint64_t offset = 0;
+      std::uint64_t extent = 0;
+      std::memcpy(&offset, entry + 16, sizeof(offset));
+      std::memcpy(&extent, entry + 24, sizeof(extent));
+      const std::uint32_t chunk_crc =
+          bin::crc32(bytes.data() + offset, extent);
+      std::memcpy(entry + 32, &chunk_crc, sizeof(chunk_crc));
+    }
+    const std::uint32_t dir_crc = bin::crc32(bytes.data() + p, size);
+    std::memcpy(bytes.data() + p - 4, &dir_crc, sizeof(dir_crc));
+    return;
+  }
+  ADD_FAILURE() << "chunk directory not found";
+}
 
 class SerializeTest : public ::testing::Test {
  protected:
@@ -34,15 +91,50 @@ class SerializeTest : public ::testing::Test {
     return store;
   }
 
+  /// Maps `bytes` as a rank file (unlinked straight away — the mapping
+  /// keeps its pages).
+  std::unique_ptr<ChunkedIndex> map_bytes(const std::string& bytes,
+                                          const IndexParams& params) {
+    const std::string path = write_scratch(bytes);
+    struct Unlink {
+      std::string path;
+      ~Unlink() { std::filesystem::remove(path); }
+    } unlink{path};
+    return ChunkedIndex::map_file(path, mods_, params);
+  }
+
+  /// Maps `bytes` and materializes every chunk: all metadata and payload
+  /// checks run before this returns.
+  std::unique_ptr<ChunkedIndex> map_all(const std::string& bytes) {
+    auto index = map_bytes(bytes, params_);
+    index->materialize_all();
+    return index;
+  }
+
+  /// Binds a saved peptide-store stream out of a mapping.
+  PeptideStore map_store(const std::string& bytes) {
+    const std::string path = write_scratch(bytes);
+    const auto map = bin::MmapFile::open(path);
+    std::filesystem::remove(path);
+    bin::ByteReader reader(map->bytes());
+    return PeptideStore::bind_mapped(reader, &mods_, map);
+  }
+
+  static std::string store_bytes(const PeptideStore& store) {
+    std::ostringstream out;
+    std::uint64_t cursor = 0;
+    store.save(out, cursor);
+    return out.str();
+  }
+
   chem::ModificationSet mods_ = chem::ModificationSet::paper_default();
   IndexParams params_;
 };
 
 TEST_F(SerializeTest, StoreRoundTrip) {
   const PeptideStore original = make_store();
-  std::stringstream buffer;
-  original.save(buffer);
-  const PeptideStore loaded = PeptideStore::load(buffer, &mods_);
+  const PeptideStore loaded = map_store(store_bytes(original));
+  EXPECT_TRUE(loaded.mapped());
   ASSERT_EQ(loaded.size(), original.size());
   for (LocalPeptideId id = 0; id < original.size(); ++id) {
     EXPECT_EQ(loaded.materialize(id), original.materialize(id));
@@ -52,32 +144,23 @@ TEST_F(SerializeTest, StoreRoundTrip) {
 
 TEST_F(SerializeTest, EmptyStoreRoundTrip) {
   const PeptideStore empty(&mods_);
-  std::stringstream buffer;
-  empty.save(buffer);
-  const PeptideStore loaded = PeptideStore::load(buffer, &mods_);
+  const PeptideStore loaded = map_store(store_bytes(empty));
   EXPECT_EQ(loaded.size(), 0u);
 }
 
 TEST_F(SerializeTest, StoreLoadRejectsTruncation) {
-  const PeptideStore original = make_store();
-  std::stringstream buffer;
-  original.save(buffer);
-  std::string bytes = buffer.str();
+  std::string bytes = store_bytes(make_store());
   bytes.resize(bytes.size() / 2);
-  std::istringstream truncated(bytes);
-  EXPECT_THROW(PeptideStore::load(truncated, &mods_), IoError);
+  EXPECT_THROW(map_store(bytes), IoError);
 }
 
 TEST_F(SerializeTest, ChunkedIndexRoundTripQueriesAgree) {
   ChunkingParams chunking;
   chunking.max_chunk_entries = 2;  // multiple chunks exercised
   const ChunkedIndex original(make_store(), mods_, params_, chunking);
-  std::stringstream buffer;
-  original.save(buffer);
-  const auto loaded = ChunkedIndex::load(buffer, mods_, params_);
+  const auto loaded = map_bytes(saved_bytes(original), params_);
 
   EXPECT_EQ(loaded->num_chunks(), original.num_chunks());
-  EXPECT_EQ(loaded->num_postings(), original.num_postings());
   EXPECT_EQ(loaded->num_peptides(), original.num_peptides());
 
   QueryParams filter;
@@ -99,22 +182,19 @@ TEST_F(SerializeTest, ChunkedIndexRoundTripQueriesAgree) {
     }
     EXPECT_EQ(wa.postings_touched, wb.postings_touched);
   }
+  EXPECT_EQ(loaded->num_postings(), original.num_postings());
 }
 
 TEST_F(SerializeTest, LoadRejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "definitely not an index";
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
+  EXPECT_THROW(map_bytes("definitely not an index", params_), IoError);
 }
 
 TEST_F(SerializeTest, LoadRejectsDifferentParams) {
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
   IndexParams other = params_;
   other.resolution = 0.02;
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, other), IoError);
+  EXPECT_THROW(map_bytes(saved_bytes(original), other), IoError);
 }
 
 TEST_F(SerializeTest, FileRoundTripAndMissingFile) {
@@ -122,31 +202,35 @@ TEST_F(SerializeTest, FileRoundTripAndMissingFile) {
                               ChunkingParams{});
   const std::string path = ::testing::TempDir() + "/lbe_index.bin";
   original.save_file(path);
-  const auto loaded = ChunkedIndex::load_file(path, mods_, params_);
+  const auto loaded = ChunkedIndex::map_file(path, mods_, params_);
   EXPECT_EQ(loaded->num_postings(), original.num_postings());
-  EXPECT_THROW(ChunkedIndex::load_file("/nonexistent/x.bin", mods_, params_),
+  EXPECT_THROW(ChunkedIndex::map_file("/nonexistent/x.bin", mods_, params_),
                IoError);
 }
 
 TEST_F(SerializeTest, LoadedIndexMemoryAccountingSane) {
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const auto loaded = ChunkedIndex::load(buffer, mods_, params_);
-  // Scorecards are lazily sized, so loaded <= original is possible; both
-  // must at least cover the postings.
-  EXPECT_GE(loaded->memory_bytes(),
-            loaded->num_postings() * sizeof(LocalPeptideId));
+  const std::string bytes = saved_bytes(original);
+  const auto loaded = map_all(bytes);
+  // A mapped index's arrays live in the mapping, not the heap: its owned
+  // bytes stay below the built index's, which hold every posting, and the
+  // mapping is the whole rank file.
+  EXPECT_GE(original.memory_bytes(),
+            original.num_postings() * sizeof(LocalPeptideId));
+  EXPECT_LT(loaded->memory_bytes(), original.memory_bytes());
+  EXPECT_EQ(loaded->mapped_bytes(), bytes.size());
+  EXPECT_EQ(original.mapped_bytes(), 0u);
 }
 
-TEST_F(SerializeTest, SlmIndexRoundTrip) {
+TEST_F(SerializeTest, SingleChunkRoundTripMatchesSlmIndex) {
   const PeptideStore store = make_store();
-  const SlmIndex original(store, mods_, params_);
-  std::stringstream buffer;
-  original.save(buffer);
-  const SlmIndex loaded = SlmIndex::load(buffer, store, mods_, params_);
-  EXPECT_EQ(loaded.num_postings(), original.num_postings());
+  const SlmIndex flat(store, mods_, params_);
+  const ChunkedIndex original(make_store(), mods_, params_,
+                              ChunkingParams{});
+  const auto loaded = map_all(saved_bytes(original));
+  ASSERT_EQ(loaded->num_chunks(), 1u);
+  EXPECT_EQ(loaded->num_postings(), flat.num_postings());
 
   QueryParams filter;
   filter.shared_peak_min = 1;
@@ -156,8 +240,8 @@ TEST_F(SerializeTest, SlmIndexRoundTrip) {
   std::vector<Candidate> b;
   QueryWork wa;
   QueryWork wb;
-  original.query(spectrum, filter, a, wa);
-  loaded.query(spectrum, filter, b, wb);
+  flat.query(spectrum, filter, a, wa);
+  loaded->query(spectrum, filter, b, wb);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].peptide, b[i].peptide);
@@ -165,62 +249,44 @@ TEST_F(SerializeTest, SlmIndexRoundTrip) {
   }
 }
 
-// Format v6: the arrays payload ends with the index's ids in (mass, id)
-// order. Each corruption below keeps the section CRC valid (recomputed),
-// so only the structural validation can catch it — and it must, before the
+// Format v6: each chunk payload ends with the chunk's ids in (mass, id)
+// order. Each corruption below keeps every checksum valid (re-sealed), so
+// only the structural validation can catch it — and it must, before the
 // window path binary-searches the order or reads store columns by its ids.
-namespace {
-
-/// Rewrites one id of the mass order of a saved SlmIndex (whose arrays
-/// section is the last in the stream) and re-seals the section CRC.
-std::string corrupt_mass_order(std::string bytes, std::size_t n,
-                               std::size_t slot, std::uint32_t id) {
-  const std::size_t order_at = bytes.size() - ((4 * n + 7) & ~std::size_t{7});
-  std::memcpy(bytes.data() + order_at + 4 * slot, &id, sizeof(id));
-  for (std::size_t p = 16; p < bytes.size(); p += 8) {
-    std::uint32_t tag = 0;
-    std::uint64_t size = 0;
-    std::memcpy(&tag, bytes.data() + p - 16, sizeof(tag));
-    std::memcpy(&size, bytes.data() + p - 12, sizeof(size));
-    if (tag == serialize::kSecArrays && size == bytes.size() - p) {
-      const std::uint32_t crc = bin::crc32(bytes.data() + p, size);
-      std::memcpy(bytes.data() + p - 4, &crc, sizeof(crc));
-      return bytes;
-    }
-  }
-  ADD_FAILURE() << "arrays section not found";
-  return bytes;
-}
-
-}  // namespace
-
-TEST_F(SerializeTest, SlmIndexMassOrderRoundTripsAndIsValidated) {
-  const PeptideStore store = make_store();
-  const SlmIndex original(store, mods_, params_);
-  std::stringstream buffer;
-  original.save(buffer);
-  const std::string bytes = buffer.str();
+TEST_F(SerializeTest, MassOrderRoundTripsAndIsValidated) {
+  const ChunkedIndex original(make_store(), mods_, params_,
+                              ChunkingParams{});
+  const std::string bytes = saved_bytes(original);
   {
-    std::istringstream in(bytes);
-    const SlmIndex loaded = SlmIndex::load(in, store, mods_, params_);
-    ASSERT_EQ(loaded.ids_by_mass().size(), store.size());
-    EXPECT_TRUE(std::equal(loaded.ids_by_mass().begin(),
-                           loaded.ids_by_mass().end(),
-                           original.ids_by_mass().begin()));
+    // Re-saving the mapped index reproduces every array, the mass order
+    // included, byte for byte.
+    const auto loaded = map_all(bytes);
+    EXPECT_EQ(saved_bytes(*loaded), bytes);
   }
-  const auto order = original.ids_by_mass();
-  const std::size_t n = order.size();
+  const std::size_t n = original.num_peptides();
   ASSERT_GE(n, 2u);
+  // The single chunk's payload ends the file: [n u64][n ids, padded to 8].
+  const std::size_t order_at = bytes.size() - ((4 * n + 7) & ~std::size_t{7});
+  const auto id_at = [&](std::size_t slot) {
+    std::uint32_t id = 0;
+    std::memcpy(&id, bytes.data() + order_at + 4 * slot, sizeof(id));
+    return id;
+  };
+  const auto corrupt = [&](std::size_t slot, std::uint32_t id) {
+    std::string out = bytes;
+    std::memcpy(out.data() + order_at + 4 * slot, &id, sizeof(id));
+    reseal_chunks(out, 1);
+    return out;
+  };
   const std::uint32_t out_of_range = static_cast<std::uint32_t>(n) + 5;
   const std::vector<std::pair<std::string, std::string>> cases = {
-      {"out-of-range id", corrupt_mass_order(bytes, n, n - 1, out_of_range)},
-      {"order violation", corrupt_mass_order(bytes, n, 0, order[1])},
-      {"duplicated id", corrupt_mass_order(bytes, n, 1, order[0])},
+      {"out-of-range id", corrupt(n - 1, out_of_range)},
+      {"order violation", corrupt(0, id_at(1))},
+      {"duplicated id", corrupt(1, id_at(0))},
   };
-  for (const auto& [what, corrupt] : cases) {
-    std::istringstream in(corrupt);
+  for (const auto& [what, bad] : cases) {
     try {
-      (void)SlmIndex::load(in, store, mods_, params_);
+      (void)map_all(bad);
       ADD_FAILURE() << what << " loaded successfully";
     } catch (const serialize::FormatVersionError&) {
       ADD_FAILURE() << what << " misreported as a version mismatch";
@@ -234,24 +300,18 @@ TEST_F(SerializeTest, SlmIndexMassOrderRoundTripsAndIsValidated) {
 TEST_F(SerializeTest, VersionFiveFilesAreStale) {
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  std::string v5 = buffer.str();
+  std::string v5 = saved_bytes(original);
   ASSERT_EQ(v5[4], 6);
   v5[4] = 5;  // version u32 follows the 4-byte magic
-  std::istringstream in(v5);
-  EXPECT_THROW(ChunkedIndex::load(in, mods_, params_),
-               serialize::FormatVersionError);
+  EXPECT_THROW(map_bytes(v5, params_), serialize::FormatVersionError);
 }
 
-TEST_F(SerializeTest, SlmIndexLoadRejectsDifferentParams) {
-  const PeptideStore store = make_store();
-  const SlmIndex original(store, mods_, params_);
-  std::stringstream buffer;
-  original.save(buffer);
+TEST_F(SerializeTest, SingleChunkLoadRejectsDifferentParams) {
+  const ChunkedIndex original(make_store(), mods_, params_,
+                              ChunkingParams{});
   IndexParams other = params_;
   other.fragments.max_fragment_charge = 2;
-  EXPECT_THROW(SlmIndex::load(buffer, store, mods_, other), IoError);
+  EXPECT_THROW(map_bytes(saved_bytes(original), other), IoError);
 }
 
 TEST_F(SerializeTest, MappingTableRoundTrip) {
@@ -277,7 +337,7 @@ TEST_F(SerializeTest, LoadRejectsWrongFormatVersion) {
   bin::write_pod(buffer, std::uint32_t{1});
   bin::write_pod(buffer,
                  static_cast<std::uint32_t>(serialize::Kind::kChunkedIndex));
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
+  EXPECT_THROW(map_bytes(buffer.str(), params_), IoError);
 }
 
 TEST_F(SerializeTest, StaleVersionAndCorruptionAreDistinctErrors) {
@@ -287,23 +347,18 @@ TEST_F(SerializeTest, StaleVersionAndCorruptionAreDistinctErrors) {
   // flipped payload bit throws plain IoError.
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const std::string bytes = buffer.str();
+  const std::string bytes = saved_bytes(original);
 
   std::string stale = bytes;
   stale[4] = 3;  // version u32 follows the 4-byte magic
-  std::istringstream stale_in(stale);
-  EXPECT_THROW(ChunkedIndex::load(stale_in, mods_, params_),
-               serialize::FormatVersionError);
+  EXPECT_THROW(map_bytes(stale, params_), serialize::FormatVersionError);
 
   std::string corrupt = bytes;
   corrupt[bytes.size() / 2] =
       static_cast<char>(corrupt[bytes.size() / 2] ^ 0x20);
-  std::istringstream corrupt_in(corrupt);
   try {
-    ChunkedIndex::load(corrupt_in, mods_, params_);
-    FAIL() << "corrupted stream loaded successfully";
+    (void)map_all(corrupt);
+    FAIL() << "corrupted file loaded successfully";
   } catch (const serialize::FormatVersionError&) {
     FAIL() << "payload corruption misreported as a version mismatch";
   } catch (const IoError&) {
@@ -312,53 +367,42 @@ TEST_F(SerializeTest, StaleVersionAndCorruptionAreDistinctErrors) {
 }
 
 TEST_F(SerializeTest, LoadRejectsWrongComponentKind) {
-  const PeptideStore store = make_store();
-  std::stringstream buffer;
-  store.save(buffer);
   // A valid peptide-store stream is not a chunked index.
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
+  EXPECT_THROW(map_bytes(store_bytes(make_store()), params_), IoError);
 }
 
 TEST_F(SerializeTest, ChunkedLoadRejectsTrailingBytes) {
-  // Both load modes must agree on validity: map_file requires the chunk
-  // extents to account for the whole file, so the eager stream load must
-  // reject appended garbage too.
+  // The chunk extents must account for the whole file: appended garbage
+  // is rejected at map time, before any chunk is touched.
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  buffer << "garbage";
-  EXPECT_THROW(ChunkedIndex::load(buffer, mods_, params_), IoError);
+  EXPECT_THROW(map_bytes(saved_bytes(original) + "garbage", params_),
+               IoError);
 }
 
 TEST_F(SerializeTest, ChunkedLoadRejectsTruncation) {
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  std::string bytes = buffer.str();
+  std::string bytes = saved_bytes(original);
   bytes.resize(bytes.size() - bytes.size() / 3);
-  std::istringstream truncated(bytes);
-  EXPECT_THROW(ChunkedIndex::load(truncated, mods_, params_), IoError);
+  EXPECT_THROW(map_all(bytes), IoError);
 }
 
 TEST_F(SerializeTest, EveryFlippedBitIsDetected) {
   const ChunkedIndex original(make_store(), mods_, params_,
                               ChunkingParams{});
-  std::stringstream buffer;
-  original.save(buffer);
-  const std::string bytes = buffer.str();
+  const std::string bytes = saved_bytes(original);
   ASSERT_GT(bytes.size(), 64u);
 
   // Flip one bit at a spread of positions covering the header, the section
-  // frames and the payloads; every single one must surface as IoError —
-  // never UB, never a silently different index.
+  // frames and the payloads; every single one must surface as IoError by
+  // the time every chunk is materialized — never UB, never a silently
+  // different index.
   for (std::size_t pos = 0; pos < bytes.size();
        pos += 1 + bytes.size() / 97) {
     std::string corrupt = bytes;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
-    std::istringstream in(corrupt);
-    EXPECT_THROW(ChunkedIndex::load(in, mods_, params_), IoError)
+    EXPECT_THROW(map_all(corrupt), IoError)
         << "flipped bit at byte " << pos << " went undetected";
   }
 }
@@ -399,6 +443,7 @@ TEST_F(SerializeTest, IndexBundleRoundTrip) {
   for (int rank = 0; rank < 2; ++rank) {
     const auto& a = *bundle.per_rank[static_cast<std::size_t>(rank)];
     const auto& b = *loaded.per_rank[static_cast<std::size_t>(rank)];
+    EXPECT_TRUE(b.mapped());
     EXPECT_EQ(b.num_peptides(), a.num_peptides());
     EXPECT_EQ(b.num_postings(), a.num_postings());
   }

@@ -3,9 +3,9 @@
 // query's spans) must emit exactly the span walk's candidates — same
 // peptides, same shared-peak counts, bit-identical matched intensities —
 // for random non-integer intensities, every window width, raw, packed,
-// mapped and eagerly loaded indexes, chunk boundaries through a run of
-// equal masses, unfinalized spectra and ties at the top-K cutoff. Plus the
-// chooser that picks between the two paths.
+// lazily mapped and fully materialized mapped indexes, chunk boundaries
+// through a run of equal masses, unfinalized spectra and ties at the top-K
+// cutoff. Plus the chooser that picks between the two paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,8 +215,9 @@ TEST_F(WindowPathTest, ChunkedChooserMatchesFlatWalkInEveryForm) {
   forms.push_back(std::make_unique<ChunkedIndex>(
       make_store(dense_workload()), mods_, params_, chunking));
   forms.push_back(ChunkedIndex::map_file(path, mods_, params_));
-  forms.push_back(ChunkedIndex::load_file(path, mods_, params_));
-  const char* names[] = {"built", "mapped", "eager"};
+  forms.push_back(ChunkedIndex::map_file(path, mods_, params_));
+  forms.back()->materialize_all();
+  const char* names[] = {"built", "mapped", "materialized"};
 
   const auto queries = make_queries(dense_workload());
   QueryArena arena;

@@ -59,6 +59,7 @@ TEST(WireSteal, RankStatsCarriesStealCounters) {
   stats.times.finish = 5.0;
   stats.work.postings_touched = 42;
   stats.index_bytes = 1 << 20;
+  stats.mapped_bytes = (std::uint64_t{1} << 33) + 7;  // > 4 GiB, odd
   stats.index_entries = 12345;
   stats.batches_executed = 17;
   stats.batches_stolen = 5;
@@ -67,6 +68,7 @@ TEST(WireSteal, RankStatsCarriesStealCounters) {
   EXPECT_EQ(out.times.query_done, stats.times.query_done);
   EXPECT_EQ(out.work.postings_touched, stats.work.postings_touched);
   EXPECT_EQ(out.index_bytes, stats.index_bytes);
+  EXPECT_EQ(out.mapped_bytes, stats.mapped_bytes);
   EXPECT_EQ(out.index_entries, stats.index_entries);
   EXPECT_EQ(out.batches_executed, stats.batches_executed);
   EXPECT_EQ(out.batches_stolen, stats.batches_stolen);
