@@ -342,7 +342,8 @@ Open-search options:
                        wins when both are given)
   --prune BOOL         block-max span pruning via v5 per-block bounds
                        (default true). Results are byte-identical with
-                       pruning on or off — CI proves it per commit
+                       pruning on or off — the ctest
+                       lbectl_open_prune_equivalence checks it
   --ptm_fraction F     synthetic spectra only: fraction of queries carrying
                        an unannounced PTM-like mass shift   (default 0)
 
@@ -354,7 +355,7 @@ Scheduling options (search):
                        answers `done`. stealing: idle ranks claim query
                        batches from the most-loaded rank's unstarted tail;
                        psms.tsv stays byte-identical to lbe_static on every
-                       backend (CI proves it)
+                       backend (ctest lbectl_schedule_equivalence)
   --steal_threshold F  steal only from a rank whose backlog is at least F x
                        the mean remaining load                (default 1.2)
 

@@ -41,7 +41,8 @@ struct AppOptions {
   /// `--simd auto|scalar|sse|avx2`: posting-decode kernel for packed
   /// (format v4) indexes (index/posting_codec.hpp). `auto` (default)
   /// resolves to the widest ISA the CPU supports; results are
-  /// byte-identical at every level — CI proves it per commit.
+  /// byte-identical at every level — the ctest lbectl_simd_equivalence
+  /// checks it.
   std::string simd = "auto";
 
   // ---- synthetic workload (used when fasta_path is empty) ----
@@ -78,7 +79,8 @@ struct AppOptions {
   /// engines (simmpi/cluster.hpp); `process` forks one OS worker process
   /// per rank over Unix-domain sockets, with co-located ranks sharing one
   /// read-only mmap of the index bundle (simmpi/process.hpp). Results are
-  /// byte-identical across backends — CI proves it per commit.
+  /// byte-identical across backends — the ctest lbectl_backend_equivalence
+  /// checks it.
   std::string backend = "virtual";
 
   // ---- serving (`lbectl serve` / `lbectl query`) ----

@@ -13,7 +13,8 @@
 //            group into p parts. Parts are assigned starting from a rank
 //            offset that rotates per group; without rotation the remainder
 //            elements of every small group pile onto low ranks (measurable
-//            as LI — the rotation ablation in bench/ablation_grouping).
+//            as LI — the rotation ablation, `lbebench --suite ablation
+//            --filter ablation_grouping`).
 #pragma once
 
 #include <cstdint>

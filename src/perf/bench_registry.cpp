@@ -211,16 +211,4 @@ int run_suite(const BenchRunOptions& options) {
   return regressions > 0 ? 2 : 0;
 }
 
-int run_single_benchmark(const std::string& name, int repeat) {
-  register_all_benches();
-  for (const BenchmarkDef& bench : BenchRegistry::instance().all()) {
-    if (bench.name != name) continue;
-    BenchContext ctx(repeat);
-    const BenchResult result = run_one(bench, ctx);
-    return result.checks_failed == 0 ? 0 : 1;
-  }
-  std::fprintf(stderr, "lbebench: unknown benchmark '%s'\n", name.c_str());
-  return 1;
-}
-
 }  // namespace lbe::perf

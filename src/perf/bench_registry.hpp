@@ -118,8 +118,4 @@ struct BenchRunOptions {
 /// 2 = baseline regression (check failures take precedence).
 int run_suite(const BenchRunOptions& options);
 
-/// Runs a single registered benchmark (the thin bench/*.cpp mains).
-/// Exit code 0 iff its shape checks all passed.
-int run_single_benchmark(const std::string& name, int repeat = 1);
-
 }  // namespace lbe::perf

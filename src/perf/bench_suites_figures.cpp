@@ -1,8 +1,8 @@
 // Suite "figures" — the paper-figure reproductions (Figs. 5-11, §V-A
 // stats), registered on the lbebench harness. Each benchmark prints its
-// figure CSV + shape checks exactly as the standalone bench/fig*.cpp
-// binaries always did, and additionally reports its headline quantities as
-// machine-readable metrics in BENCH_figures.json.
+// figure CSV + shape checks (see perf/figure.hpp) and additionally reports
+// its headline quantities as machine-readable metrics in
+// BENCH_figures.json.
 #include <iostream>
 #include <map>
 

@@ -7,7 +7,7 @@
 // resident index footprint, which the LBE partitioning plus shared mappings
 // keep sublinear in rank count (a replicated design would be linear). The
 // result-equivalence checks make this suite a second, perf-facing guard on
-// what cmake/backend_equivalence_test.cmake asserts at the CLI.
+// what cmake/lbectl_equivalence_matrix.sh asserts at the CLI.
 #include <algorithm>
 #include <filesystem>
 #include <memory>

@@ -1,11 +1,12 @@
 // Uniform output harness for the figure-reproduction benches.
 //
-// Every bench/fig* binary prints:
+// Every figure benchmark (`lbebench --suite figures`) prints:
 //   1. a "# Figure N — title" banner with the paper's claim,
 //   2. the figure's data as CSV rows (x, series, value) for re-plotting,
 //   3. shape assertions ("[PASS]/[FAIL] ...") checking the paper's claims,
-// and exits non-zero if any assertion failed — so `for b in bench/*; do $b;
-// done` doubles as a reproduction check.
+// and lbebench exits 1 if any assertion failed — so `lbebench --suite
+// figures` (or `--filter fig5` for one figure) doubles as a reproduction
+// check.
 #pragma once
 
 #include <optional>

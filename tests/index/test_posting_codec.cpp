@@ -3,7 +3,7 @@
 // and — on hardware that has them — byte-for-byte agreement of the SSE4.1
 // and AVX2 unpack kernels with the scalar reference. The engine-level
 // equivalence (identical psms.tsv per --simd level) is asserted separately
-// by cmake/simd_equivalence_test.cmake and CI.
+// by cmake/lbectl_equivalence_matrix.sh.
 #include "index/posting_codec.hpp"
 
 #include <gtest/gtest.h>
