@@ -312,10 +312,11 @@ dashes in CLI option names are accepted as underscores):
                        `prepare --index-out` instead of rebuilding; each
                        chunk is CRC-checked on first query touch (falls
                        back to a rebuild, with a warning, on any mismatch)
-  --simd LEVEL         posting-decode kernel for packed (v4) indexes:
-                       auto|scalar|sse|avx2 (default auto = widest ISA the
-                       CPU supports). Results are byte-identical at every
-                       level; unsupported requests degrade with a notice
+  --simd LEVEL         posting-decode kernel of the span walk, for built
+                       and mapped indexes alike: auto|scalar|sse|avx2
+                       (default auto = widest ISA the CPU supports).
+                       Results are byte-identical at every level;
+                       unsupported requests degrade with a notice
   --index_out DIR      prepare: index bundle directory (default: --out)
   --out DIR            output directory (default .)
   --entries N          synthetic index-entry target        (default 50000)
@@ -340,9 +341,10 @@ Open-search options:
   --open-window W      precursor window half-width in Da, or `inf` for a
                        fully open search (alias for --precursor_tolerance;
                        wins when both are given)
-  --prune BOOL         block-max span pruning via v5 per-block bounds
-                       (default true). Results are byte-identical with
-                       pruning on or off — the ctest
+  --prune BOOL         block-max span pruning: skip posting blocks whose
+                       v5 mass bounds miss the precursor window (a no-op
+                       at `inf`; default true). Results are byte-identical
+                       with pruning on or off — the ctest
                        lbectl_open_prune_equivalence checks it
   --ptm_fraction F     synthetic spectra only: fraction of queries carrying
                        an unannounced PTM-like mass shift   (default 0)

@@ -38,10 +38,11 @@ struct AppOptions {
   /// benchmark/src/run.cpp sets it; it could become a parameter of
   /// try_load_warm_indexes in the next change to benchmark/.
   bool index_mmap = true;
-  /// `--simd auto|scalar|sse|avx2`: posting-decode kernel for packed
-  /// (format v4) indexes (index/posting_codec.hpp). `auto` (default)
-  /// resolves to the widest ISA the CPU supports; results are
-  /// byte-identical at every level — the ctest lbectl_simd_equivalence
+  /// `--simd auto|scalar|sse|avx2`: posting-decode kernel
+  /// (index/posting_codec.hpp) of every span walk — built indexes pack
+  /// their postings at build, so cold and warm searches both decode.
+  /// `auto` (default) resolves to the widest ISA the CPU supports; results
+  /// are byte-identical at every level — the ctest lbectl_simd_equivalence
   /// checks it.
   std::string simd = "auto";
 

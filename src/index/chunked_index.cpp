@@ -1,9 +1,7 @@
 #include "index/chunked_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -149,32 +147,6 @@ std::size_t ChunkedIndex::chunks_for_window(Mass query_mass,
   return touched;
 }
 
-namespace {
-
-/// Lower bound on the final K-th reported filter score, computed from the
-/// candidates appended since `start` — all final, because chunks partition
-/// peptides by mass, so a completed chunk's candidates never change.
-/// Returns -inf until K candidates exist. Scores use the exact arithmetic
-/// the engine ranks with (candidate_filter_score), so the floor can never
-/// overtake a candidate the engine would keep.
-double prune_score_floor(const std::vector<Candidate>& out, std::size_t start,
-                         std::uint32_t top_k, std::vector<double>& scratch) {
-  const std::size_t n = out.size() - start;
-  if (n < top_k) return -std::numeric_limits<double>::infinity();
-  scratch.clear();
-  scratch.reserve(n);
-  for (std::size_t i = start; i < out.size(); ++i) {
-    scratch.push_back(candidate_filter_score(
-        out[i].shared_peaks, static_cast<double>(out[i].matched_intensity)));
-  }
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<std::ptrdiff_t>(top_k - 1),
-                   scratch.end(), std::greater<double>());
-  return scratch[top_k - 1];
-}
-
-}  // namespace
-
 bool ChunkedIndex::routed(std::size_t c, Mass query_mass,
                           double tolerance) const {
   if (!(tolerance < std::numeric_limits<double>::infinity())) return true;
@@ -191,19 +163,11 @@ void ChunkedIndex::query(const chem::Spectrum& spectrum,
   // identical for every chunk (all share index_params_) — so the first
   // intersecting chunk builds them and the rest reuse (the per-chunk
   // epoch bump in query_impl leaves arena.spans untouched).
-  const std::size_t out_start = out.size();
-  const bool score_prune = params.prune_blocks && params.prune_top_k > 0;
   bool spans_built = false;
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
     if (!routed(c, query_mass, params.precursor_tolerance)) continue;
     const SlmIndex& index = chunk_index(c);
-    double score_floor = -std::numeric_limits<double>::infinity();
-    if (spans_built) {
-      if (score_prune) {
-        score_floor = prune_score_floor(out, out_start, params.prune_top_k,
-                                        arena.prune_scores);
-      }
-    } else {
+    if (!spans_built) {
       index.build_spans(spectrum, params, work, arena);
       spans_built = true;
     }
@@ -219,7 +183,7 @@ void ChunkedIndex::query(const chem::Spectrum& spectrum,
       }
     }
     index.query_impl(spectrum, params, out, work, arena,
-                     /*rebuild_spans=*/false, score_floor);
+                     /*rebuild_spans=*/false);
   }
 }
 

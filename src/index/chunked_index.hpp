@@ -111,8 +111,9 @@ class ChunkedIndex {
   double filtration_cost(std::span<const BinSpan> spans, Mass query_mass,
                          double tolerance) const;
 
-  /// Heap bytes of every *resident* chunk index plus the peptide store.
-  /// Mapped, not-yet-touched chunks cost no heap and are not counted.
+  /// Heap bytes of every *resident* chunk index plus the peptide store. A
+  /// built chunk owns its packed arrays; a mapped chunk's live in the page
+  /// cache (see mapped_bytes), so it costs no array heap.
   std::uint64_t memory_bytes() const noexcept;
 
   /// Packed-stream footprint of every chunk's postings, block directories

@@ -245,38 +245,48 @@ std::uint64_t block_bytes(const BlockMeta& meta, std::uint32_t n) noexcept {
 
 void encode(std::span<const std::uint32_t> values,
             std::vector<BlockMeta>& blocks, std::vector<std::byte>& bytes) {
-  blocks.clear();
-  bytes.clear();
+  // Pass 1 picks every block's encoding, so pass 2 fills buffers allocated
+  // at their exact final size: no growth slack for memory_bytes to count.
+  std::vector<BlockMeta> metas;
+  metas.reserve((values.size() + kBlockValues - 1) / kBlockValues);
+  std::uint64_t total = 0;
   for (std::size_t begin = 0; begin < values.size();
        begin += kBlockValues) {
     const std::uint32_t n = static_cast<std::uint32_t>(
         std::min<std::size_t>(kBlockValues, values.size() - begin));
     const std::uint32_t* v = values.data() + begin;
     const auto [min_it, max_it] = std::minmax_element(v, v + n);
-    const std::uint32_t base = *min_it;
     const std::uint32_t width =
-        static_cast<std::uint32_t>(std::bit_width(*max_it - base));
-
+        static_cast<std::uint32_t>(std::bit_width(*max_it - *min_it));
     BlockMeta meta;
-    meta.offset = bytes.size();
-    const std::uint64_t raw_size = static_cast<std::uint64_t>(n) * 4;
-    if (packed_block_bytes(n, width) >= raw_size) {
+    meta.offset = total;
+    if (packed_block_bytes(n, width) >= static_cast<std::uint64_t>(n) * 4) {
       // Incompressible (or too short to amortize a stripe): verbatim u32.
       meta.tag = kTagRaw;
-      blocks.push_back(meta);
-      const std::size_t at = bytes.size();
-      bytes.resize(at + raw_size);
-      std::memcpy(bytes.data() + at, v, raw_size);
+    } else {
+      meta.base = *min_it;
+      meta.width = static_cast<std::uint8_t>(width);
+      meta.tag = kTagPacked;
+    }
+    total += block_bytes(meta, n);
+    metas.push_back(meta);
+  }
+
+  std::vector<std::byte> stream(static_cast<std::size_t>(total),
+                                std::byte{0});
+  for (std::size_t b = 0; b < metas.size(); ++b) {
+    const BlockMeta& meta = metas[b];
+    const std::size_t begin = b * kBlockValues;
+    const std::uint32_t n = static_cast<std::uint32_t>(
+        std::min<std::size_t>(kBlockValues, values.size() - begin));
+    const std::uint32_t* v = values.data() + begin;
+    auto* words = reinterpret_cast<unsigned char*>(stream.data() + meta.offset);
+    if (meta.tag == kTagRaw) {
+      std::memcpy(words, v, static_cast<std::size_t>(n) * 4);
       continue;
     }
-    meta.base = base;
-    meta.width = static_cast<std::uint8_t>(width);
-    meta.tag = kTagPacked;
-    blocks.push_back(meta);
-    const std::size_t at = bytes.size();
-    bytes.resize(at + packed_block_bytes(n, width), std::byte{0});
+    const std::uint32_t width = meta.width;
     if (width == 0) continue;
-    auto* words = reinterpret_cast<unsigned char*>(bytes.data() + at);
     auto or_word = [&](std::uint32_t word_index, std::uint32_t value) {
       std::uint32_t w;
       std::memcpy(&w, words + 4 * word_index, 4);
@@ -284,7 +294,7 @@ void encode(std::span<const std::uint32_t> values,
       std::memcpy(words + 4 * word_index, &w, 4);
     };
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t off = v[i] - base;
+      const std::uint32_t off = v[i] - meta.base;
       const std::uint32_t lane = i % kLanes;
       const std::uint32_t bitpos = (i / kLanes) * width;
       const std::uint32_t word = bitpos >> 5;
@@ -295,6 +305,8 @@ void encode(std::span<const std::uint32_t> values,
       }
     }
   }
+  blocks = std::move(metas);
+  bytes = std::move(stream);
 }
 
 void decode_blocks(std::span<const BlockMeta> blocks,

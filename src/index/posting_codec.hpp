@@ -69,9 +69,10 @@ static_assert(sizeof(BlockMeta) == 16);
 std::uint64_t block_bytes(const BlockMeta& meta, std::uint32_t n) noexcept;
 
 /// Encodes `values` into a packed stream: one BlockMeta per kBlockValues
-/// (the final block may be short). `blocks` and `bytes` are cleared and
-/// filled; offsets are relative to the start of `bytes`. Deterministic:
-/// identical input yields identical bytes on every ISA.
+/// (the final block may be short). `blocks` and `bytes` are replaced by
+/// vectors whose capacity equals their size; offsets are relative to the
+/// start of `bytes`. Deterministic: identical input yields identical bytes
+/// on every ISA.
 void encode(std::span<const std::uint32_t> values,
             std::vector<BlockMeta>& blocks, std::vector<std::byte>& bytes);
 

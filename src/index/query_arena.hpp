@@ -103,7 +103,6 @@ class QueryArena {
            spans.capacity() * sizeof(BinSpan) +
            windows.capacity() * sizeof(Window) +
            decoded.capacity() * sizeof(std::uint32_t) +
-           prune_scores.capacity() * sizeof(double) +
            (fragments.prefix.capacity() + fragments.mzs.capacity() +
             fragments.merge.capacity()) * sizeof(double) +
            fragment_bins.capacity() * sizeof(MzBin);
@@ -124,15 +123,11 @@ class QueryArena {
   std::vector<Window> windows;
   std::vector<BinSpan> spans;
 
-  /// Span-decode scratch for packed (format v4) indexes: the covering
-  /// posting blocks of one span, unpacked (index/posting_codec.hpp).
-  /// Sized in whole 128-value blocks; grows to the largest span seen and
-  /// stays allocated, so steady-state decode allocates nothing.
+  /// Span-decode scratch: the covering packed posting blocks of one span,
+  /// unpacked (index/posting_codec.hpp). Sized in whole 128-value blocks;
+  /// grows to the largest span seen and stays allocated, so steady-state
+  /// decode allocates nothing.
   std::vector<std::uint32_t> decoded;
-
-  /// Score scratch for ChunkedIndex's block-max pruning floor (the K-th
-  /// best filter score among candidates of completed chunks).
-  std::vector<double> prune_scores;
 
   /// Window-path scratch: one in-window peptide's fragments and their
   /// in-range bins, ascending (SlmIndex::fragment_bins).

@@ -50,6 +50,8 @@ struct QueryWork {
     return *this;
   }
 
+  bool operator==(const QueryWork&) const = default;
+
   /// The filtration traffic the Eq. 1 load model predicts: postings the
   /// span walk touched plus the window path's weighted fragment bins.
   double filtration_units() const {

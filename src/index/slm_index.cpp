@@ -76,14 +76,18 @@ SlmIndex::SlmIndex(const PeptideStore& store,
 
   // Pass 2: fill postings via per-bin write cursors. Ids arrive in (mass,
   // id) order, so every bin fills in the Fig. 1 secondary order directly.
-  postings_storage_.assign(offset, 0);
+  // The raw array lives only until the bounds and the packed blocks are
+  // derived from it.
+  std::vector<LocalPeptideId> postings(offset, 0);
   std::vector<std::uint32_t> cursor(bin_offsets_storage_.begin(),
                                     bin_offsets_storage_.end() - 1);
   for (const LocalPeptideId id : order_storage_) {
     fragment_bins(id, scratch, bins);
-    for (const MzBin bin : bins) postings_storage_[cursor[bin]++] = id;
+    for (const MzBin bin : bins) postings[cursor[bin]++] = id;
   }
-  compute_block_bounds();
+  compute_block_bounds(postings);
+  codec::encode(postings, blocks_storage_, packed_storage_);
+  posting_count_ = postings.size();
   bind_owned();
 }
 
@@ -102,14 +106,15 @@ void SlmIndex::fragment_bins(LocalPeptideId id,
 
 void SlmIndex::bind_owned() noexcept {
   bin_offsets_ = bin_offsets_storage_;
-  postings_ = postings_storage_;
-  posting_count_ = postings_storage_.size();
+  blocks_ = blocks_storage_;
+  packed_ = packed_storage_;
   bounds_ = bounds_storage_;
   order_ = order_storage_;
 }
 
-void SlmIndex::compute_block_bounds() {
-  const std::size_t n = postings_storage_.size();
+void SlmIndex::compute_block_bounds(
+    std::span<const LocalPeptideId> postings) {
+  const std::size_t n = postings.size();
   bounds_storage_.assign((n + codec::kBlockValues - 1) / codec::kBlockValues,
                          BlockBound{});
   if (n == 0) return;
@@ -117,15 +122,15 @@ void SlmIndex::compute_block_bounds() {
   // touches one peptide can receive in a single walk, since spans are
   // disjoint bin ranges and each posting lies in at most one of them.
   std::vector<std::uint32_t> nfrags(store_->size(), 0);
-  for (const LocalPeptideId id : postings_storage_) ++nfrags[id];
+  for (const LocalPeptideId id : postings) ++nfrags[id];
   for (std::size_t b = 0; b < bounds_storage_.size(); ++b) {
     const std::size_t begin = b * codec::kBlockValues;
     const std::size_t end = std::min(n, begin + codec::kBlockValues);
-    Mass lo = store_->mass(postings_storage_[begin]);
+    Mass lo = store_->mass(postings[begin]);
     Mass hi = lo;
     std::uint32_t frags = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      const LocalPeptideId id = postings_storage_[i];
+      const LocalPeptideId id = postings[i];
       const Mass mass = store_->mass(id);
       lo = std::min(lo, mass);
       hi = std::max(hi, mass);
@@ -252,20 +257,10 @@ void SlmIndex::query(const chem::Spectrum& spectrum,
   query_impl(spectrum, params, out, work, arena, /*rebuild_spans=*/true);
 }
 
-namespace {
-
-/// Absorbs float-accumulation and lgamma rounding slack in the score-bound
-/// test: a block is pruned only when its upper bound clears the floor by
-/// more than this, so the bound stays conservative.
-constexpr double kScoreBoundSlack = 1e-4;
-
-}  // namespace
-
 void SlmIndex::query_impl(const chem::Spectrum& spectrum,
                           const QueryParams& params,
                           std::vector<Candidate>& out, QueryWork& work,
-                          QueryArena& arena, bool rebuild_spans,
-                          double score_floor) const {
+                          QueryArena& arena, bool rebuild_spans) const {
   arena.begin_query(store_->size());
   if (rebuild_spans) build_spans(spectrum, params, work, arena);
 
@@ -274,31 +269,15 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
   const std::uint32_t epoch = arena.epoch();
   QueryArena::Slot* __restrict slots = arena.slots_data();
 
-  // Block-max pruning (v5 bounds). Both tests are exact w.r.t. psms.tsv:
-  // a mass-disjoint block holds only peptides the emit-time precursor
-  // filter drops, and a score-pruned block holds only peptides whose final
-  // filter score provably stays below the already-final K-th candidate —
-  // either way no surviving peptide loses a touch, and surviving postings
-  // are walked in the identical order, so accumulation is bit-identical.
-  const bool finite_window =
-      params.precursor_tolerance < std::numeric_limits<double>::infinity();
+  // Block-max pruning (v5 bounds), exact w.r.t. psms.tsv: a mass-disjoint
+  // block holds only peptides the emit-time precursor filter drops, so no
+  // surviving peptide loses a touch, and surviving postings are walked in
+  // the identical order, so accumulation is bit-identical.
   const bool mass_prune =
-      params.prune_blocks && !bounds_.empty() && finite_window;
-  const bool score_prune =
-      params.prune_blocks && !bounds_.empty() &&
-      score_floor > -std::numeric_limits<double>::infinity();
+      params.prune_blocks && !bounds_.empty() && !params.open_search();
   const Mass query_mass = spectrum.precursor.neutral_mass;
   const double window_lo = query_mass - params.precursor_tolerance;
   const double window_hi = query_mass + params.precursor_tolerance;
-  double mult_max = 0.0;
-  double span_intensity_max = 0.0;
-  if (score_prune) {
-    for (const BinSpan& span : arena.spans) {
-      mult_max = std::max(mult_max, static_cast<double>(span.multiplicity));
-      span_intensity_max =
-          std::max(span_intensity_max, static_cast<double>(span.intensity));
-    }
-  }
 
   for (const BinSpan& span : arena.spans) {
     const std::uint32_t begin = bin_offsets_[span.lo];
@@ -311,11 +290,10 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
     if (begin == end) continue;
 
     // Walks one contiguous slice of the span. Raw restrict pointers:
-    // posting loads (from the CSR array, or from the slice's blocks
-    // decoded into arena scratch — the scratch stays L1-hot, so the
-    // scorecard's cache misses still dominate) cannot alias scorecard
-    // stores, so the compiler keeps loop state in registers across slot
-    // writes.
+    // posting loads (from the slice's blocks decoded into arena scratch —
+    // the scratch stays L1-hot, so the scorecard's cache misses still
+    // dominate) cannot alias scorecard stores, so the compiler keeps loop
+    // state in registers across slot writes.
     const auto walk = [&](std::uint32_t slice_begin,
                           std::uint32_t slice_end) {
       work.postings_touched += static_cast<std::uint64_t>(span.multiplicity) *
@@ -360,7 +338,7 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
 
     const std::uint32_t first_block = begin / codec::kBlockValues;
     const std::uint32_t last_block = (end - 1) / codec::kBlockValues;
-    if (!mass_prune && !score_prune) {
+    if (!mass_prune) {
       work.blocks_walked += last_block - first_block + 1;
       ++work.spans_walked;
       walk(begin, end);
@@ -378,23 +356,10 @@ void SlmIndex::query_impl(const chem::Spectrum& spectrum,
       const auto seg_end = static_cast<std::uint32_t>(std::min<std::uint64_t>(
           end, (std::uint64_t{b} + 1) * codec::kBlockValues));
       const BlockBound& bound = bounds_[b];
-      bool skip = false;
-      if (mass_prune && (static_cast<double>(bound.mass_hi) < window_lo ||
-                         static_cast<double>(bound.mass_lo) > window_hi)) {
-        // Every peptide in the block fails the emit-time precursor filter.
-        skip = true;
-      } else if (score_prune) {
-        // Upper bound on any block peptide's final filter score: each of
-        // its <= max_frags postings is touched at most once per walk,
-        // adding <= mult_max to the count and <= span_intensity_max to
-        // the intensity.
-        const double count_bound = bound.max_frags * mult_max;
-        const double intensity_bound = bound.max_frags * span_intensity_max;
-        const double upper =
-            log_gamma(count_bound + 1.0) + std::log1p(intensity_bound);
-        skip = upper + kScoreBoundSlack < score_floor;
-      }
-      if (skip) {
+      // Every peptide in a mass-disjoint block fails the emit-time
+      // precursor filter.
+      if (static_cast<double>(bound.mass_hi) < window_lo ||
+          static_cast<double>(bound.mass_lo) > window_hi) {
         ++work.blocks_pruned;
         if (run_begin < seg_begin) {
           walk(run_begin, seg_begin);
@@ -582,7 +547,6 @@ std::uint64_t SlmIndex::memory_bytes() const noexcept {
   // Mapped indexes own no array heap: their bytes live in the page cache
   // and are charged to the file, not the process heap.
   return bin_offsets_storage_.capacity() * sizeof(std::uint32_t) +
-         postings_storage_.capacity() * sizeof(LocalPeptideId) +
          blocks_storage_.capacity() * sizeof(codec::BlockMeta) +
          bounds_storage_.capacity() * sizeof(BlockBound) +
          order_storage_.capacity() * sizeof(LocalPeptideId) +
@@ -592,7 +556,6 @@ std::uint64_t SlmIndex::memory_bytes() const noexcept {
 const std::uint32_t* SlmIndex::posting_slice(std::uint32_t begin,
                                              std::uint32_t end,
                                              QueryArena& arena) const {
-  if (!packed_mode_) return postings_.data() + begin;
   if (begin == end) return arena.decoded.data();
   const std::size_t block_first = begin / codec::kBlockValues;
   const std::size_t block_count = (end - 1) / codec::kBlockValues -
@@ -602,28 +565,6 @@ const std::uint32_t* SlmIndex::posting_slice(std::uint32_t begin,
   codec::decode_range(blocks_, packed_, posting_count_, begin, end,
                       arena.decoded.data());
   return arena.decoded.data() + (begin - block_first * codec::kBlockValues);
-}
-
-void SlmIndex::ensure_packed() const {
-  if (packed_mode_ || packed_cached_) return;
-  codec::encode(postings_, blocks_storage_, packed_storage_);
-  blocks_ = blocks_storage_;
-  packed_ = packed_storage_;
-  packed_cached_ = true;
-}
-
-std::uint64_t SlmIndex::packed_posting_bytes() const {
-  ensure_packed();
-  return packed_.size() + blocks_.size() * sizeof(codec::BlockMeta);
-}
-
-void SlmIndex::compress_in_memory() {
-  if (packed_mode_) return;
-  ensure_packed();
-  postings_storage_.clear();
-  postings_storage_.shrink_to_fit();
-  postings_ = {};
-  packed_mode_ = true;
 }
 
 SlmIndex::SlmIndex(const PeptideStore& store,
@@ -639,7 +580,6 @@ constexpr std::uint64_t padded8(std::uint64_t n) { return (n + 7) & ~7ull; }
 }  // namespace
 
 std::uint64_t SlmIndex::arrays_payload_size() const {
-  ensure_packed();
   return 32 + padded8(bin_offsets_.size() * sizeof(std::uint32_t)) +
          padded8(blocks_.size() * sizeof(codec::BlockMeta)) +
          padded8(packed_.size()) +
@@ -648,7 +588,6 @@ std::uint64_t SlmIndex::arrays_payload_size() const {
 }
 
 std::uint32_t SlmIndex::arrays_payload_crc() const {
-  ensure_packed();
   LBE_CHECK(bounds_.size() == blocks_.size(),
             "block bounds out of step with the block directory");
   const std::uint64_t counts[4] = {bin_offsets_.size(), posting_count_,
@@ -671,7 +610,6 @@ std::uint32_t SlmIndex::arrays_payload_crc() const {
 }
 
 void SlmIndex::write_arrays_payload(std::ostream& out) const {
-  ensure_packed();
   LBE_CHECK(bounds_.size() == blocks_.size(),
             "block bounds out of step with the block directory");
   std::uint64_t cursor = 0;
@@ -764,8 +702,6 @@ SlmIndex SlmIndex::parse_arrays_payload(
   index.bounds_ = bounds_view;
   index.order_ = order_view;
   index.posting_count_ = postings_count;
-  index.packed_mode_ = true;
-  index.packed_cached_ = true;
   index.keepalive_ = std::move(keepalive);
 
   sz::require(index.bin_offsets_.size() ==

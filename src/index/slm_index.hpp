@@ -6,7 +6,10 @@
 // order, so within a bin the postings already follow that order — the
 // secondary sort the paper's Fig. 1 describes, which makes
 // precursor-window scans over a bin contiguous. The index keeps that
-// order (`ids_by_mass`, persisted since format v6).
+// order (`ids_by_mass`, persisted since format v6). The build bit-packs
+// the postings (index/posting_codec.hpp) before it returns, so a built
+// index holds the same arrays a mapped rank file binds, and every span
+// walk decodes its postings the same way.
 //
 // Query: the query's peak tolerance windows are swept into coalesced bin
 // spans (each span = a run of consecutive bins covered by the same peaks).
@@ -31,7 +34,6 @@
 // threads concurrently.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -69,19 +71,13 @@ struct QueryParams {
   std::uint32_t shared_peak_min = 4;  ///< cPSM threshold (Shpeak)
   /// Precursor window ±Da; infinity = open search (paper: ΔM = ∞).
   double precursor_tolerance = std::numeric_limits<double>::infinity();
-  /// Block-max pruning (format v5 bound metadata): skip 128-posting blocks
-  /// whose bound proves they cannot contribute a reportable candidate —
-  /// mass-disjoint blocks under a finite precursor window, and (when
-  /// prune_top_k > 0) blocks whose score upper bound cannot displace the
-  /// current K-th candidate. Exact: psms.tsv is byte-identical either way,
+  /// Block-max pruning (format v5 bound metadata): under a finite
+  /// precursor window, skip 128-posting blocks whose mass bounds lie
+  /// wholly outside it. Exact: psms.tsv is byte-identical either way,
   /// because skipped postings belong only to peptides the emit-time
-  /// precursor filter would drop or whose score provably stays below the
-  /// reported top-K, and the walk order of surviving postings is unchanged.
+  /// precursor filter would drop, and the walk order of surviving
+  /// postings is unchanged. A no-op for an open window.
   bool prune_blocks = true;
-  /// Number of top candidates the caller will report per query; feeds the
-  /// score-threshold half of the pruning test (0 disables it). Set by
-  /// QueryEngine from SearchParams::top_k, not a user-facing knob.
-  std::uint32_t prune_top_k = 0;
 
   bool open_search() const {
     return !(precursor_tolerance <
@@ -92,9 +88,9 @@ struct QueryParams {
 /// Per-128-posting-block bound metadata (format v5), aligned 1:1 with the
 /// v4 codec's block directory. `mass_lo`/`mass_hi` bound the precursor
 /// masses of the block's peptides (conservatively rounded outward to
-/// float); `max_frags` bounds the number of postings any single peptide of
-/// the block has in this index — together they upper-bound what any posting
-/// in the block can contribute to a candidate.
+/// float); the mass-pruning walk tests them. `max_frags` bounds the number
+/// of postings any single peptide of the block has in this index; it is
+/// validated on load but no walk reads it.
 struct BlockBound {
   float mass_lo = 0.0f;
   float mass_hi = 0.0f;
@@ -102,24 +98,6 @@ struct BlockBound {
   std::uint32_t reserved = 0;
 };
 static_assert(sizeof(BlockBound) == 16, "BlockBound is an on-disk format");
-
-/// ln(Γ(x)) through glibc's reentrant lgamma_r: std::lgamma is the same
-/// routine but also stores the sign in the global `signgam`, a data race
-/// between the threads that score concurrently.
-inline double log_gamma(double x) {
-  int sign = 0;
-  return ::lgamma_r(x, &sign);
-}
-
-/// The canonical filtration ranking score: ln(shared!) + ln(1 + matched
-/// intensity). Defined here (not in search/) because block-max pruning must
-/// bound it with the exact same arithmetic the engine ranks with;
-/// search::filter_score delegates to this.
-inline double candidate_filter_score(std::uint32_t shared_peaks,
-                                     double matched_intensity) {
-  return log_gamma(static_cast<double>(shared_peaks) + 1.0) +
-         std::log1p(matched_intensity);
-}
 
 /// One candidate produced by filtration. Matched query-peak intensity is
 /// accumulated during the scorecard pass (as MSFragger/SLM do), so ranking
@@ -181,21 +159,11 @@ class SlmIndex {
   std::size_t num_peptides() const noexcept { return store_->size(); }
   std::uint64_t num_postings() const noexcept { return posting_count_; }
 
-  /// True when queries decode bit-packed posting blocks (a v4 warm start
-  /// bound from an mmap, or after compress_in_memory); false while the
-  /// raw u32 array is resident.
-  bool packed() const noexcept { return packed_mode_; }
-
-  /// Packed-stream footprint of the postings (block directory included),
-  /// packing a raw-resident index once if needed — the numerator of the
-  /// index_io suite's bytes_per_posting metric.
-  std::uint64_t packed_posting_bytes() const;
-
-  /// Switches a raw-resident index to the packed query path in place:
-  /// encodes the postings, drops the raw array, and decodes spans at
-  /// query time exactly as a mapped v4 chunk does. Benches and tests use
-  /// this to exercise the decode kernels without a round trip to disk.
-  void compress_in_memory();
+  /// Packed-stream footprint of the postings (block directory included) —
+  /// the numerator of the index_io suite's bytes_per_posting metric.
+  std::uint64_t packed_posting_bytes() const noexcept {
+    return packed_.size() + blocks_.size() * sizeof(codec::BlockMeta);
+  }
 
   /// Shared-peak filtration of one query spectrum. Appends candidates with
   /// shared_peaks >= params.shared_peak_min (and, unless open search, with
@@ -242,8 +210,9 @@ class SlmIndex {
                        const QueryParams& params, std::vector<Candidate>& out,
                        QueryWork& work, QueryArena& arena) const;
 
-  /// Exact heap bytes: postings + offsets (+ the lazily-grown internal
-  /// arena, when the convenience overload has been used).
+  /// Exact heap bytes: offsets, block directory, packed postings, block
+  /// bounds and mass order (+ the lazily-grown internal arena, when the
+  /// convenience overload has been used).
   std::uint64_t memory_bytes() const noexcept;
 
   /// Postings-per-bin histogram feeding the load-prediction model.
@@ -279,29 +248,21 @@ class SlmIndex {
   //   bounds      BlockBound[block_count] (16 B each, v5)
   //   [order_count u64]
   //   order       LocalPeptideId[order_count], zero-padded to 8 (v6)
-  // Size and CRC are computable without materializing the payload (the
-  // pack runs once and is cached), so the chunk directory — which
-  // precedes the payloads — can be written first.
+  // Size and CRC are computable without materializing the payload, so the
+  // chunk directory — which precedes the payloads — can be written first.
   std::uint64_t arrays_payload_size() const;
   std::uint32_t arrays_payload_crc() const;
   void write_arrays_payload(std::ostream& out) const;
 
-  /// Guarantees blocks_/packed_ describe the postings: a no-op when the
-  /// index is already packed (or the pack is cached), one deterministic
-  /// codec::encode otherwise. Const because saving needs it; the cache
-  /// lives in mutable storage and never changes observable query results.
-  void ensure_packed() const;
-
-  /// Postings [begin, end) as a contiguous u32 slice: the raw array when
-  /// resident, otherwise the covering packed blocks decoded into
-  /// arena.decoded (slice pointer adjusted to `begin`). The slice is
-  /// valid until the next call with the same arena.
+  /// Postings [begin, end) as a contiguous u32 slice: the covering packed
+  /// blocks decoded into arena.decoded (slice pointer adjusted to
+  /// `begin`). The slice is valid until the next call with the same arena.
   const std::uint32_t* posting_slice(std::uint32_t begin, std::uint32_t end,
                                      QueryArena& arena) const;
 
   /// Parses one arrays payload from `payload` (positioned at its start,
   /// 8-aligned phase) inside the mapping `keepalive` owns, validates its
-  /// structure and binds the spans in place (zero copy, packed mode).
+  /// structure and binds the spans in place (zero copy).
   /// Throws IoError on corrupt input.
   static SlmIndex parse_arrays_payload(
       bin::ByteReader& payload, const PeptideStore& store,
@@ -310,19 +271,14 @@ class SlmIndex {
 
   /// `query` with span reuse: when `rebuild_spans` is false the walk runs
   /// over arena.spans as-is (they must stem from this spectrum/params and
-  /// an identically-binned index). `score_floor` is a lower bound on the
-  /// final K-th reported filter score (-inf = unknown): blocks whose score
-  /// upper bound stays strictly below it are skipped. ChunkedIndex raises
-  /// it at chunk boundaries from already-final candidates.
+  /// an identically-binned index).
   void query_impl(const chem::Spectrum& spectrum, const QueryParams& params,
                   std::vector<Candidate>& out, QueryWork& work,
-                  QueryArena& arena, bool rebuild_spans,
-                  double score_floor =
-                      -std::numeric_limits<double>::infinity()) const;
+                  QueryArena& arena, bool rebuild_spans) const;
 
-  /// Fills bounds_storage_ from the freshly built postings (one pass over
-  /// the postings plus a per-peptide fragment-count tally).
-  void compute_block_bounds();
+  /// Fills bounds_storage_ from the freshly built raw postings (one pass
+  /// over them plus a per-peptide fragment-count tally).
+  void compute_block_bounds(std::span<const LocalPeptideId> postings);
 
   /// Peak windows -> coalesced spans, in arena scratch.
   void build_spans(const chem::Spectrum& spectrum, const QueryParams& params,
@@ -354,22 +310,17 @@ class SlmIndex {
   // The spans are the access path; they bind to the storage vectors below
   // (cold path) or straight into a mapped rank file (warm path).
   std::span<const std::uint32_t> bin_offsets_;  ///< size num_bins+1
-  std::span<const LocalPeptideId> postings_;
   std::vector<std::uint32_t> bin_offsets_storage_;
-  std::vector<LocalPeptideId> postings_storage_;
   std::shared_ptr<const bin::MmapFile> keepalive_;
 
-  // Bit-packed posting blocks (format v4, index/posting_codec.hpp). A
-  // built index stays raw u32 — the zero-overhead path — and packs once,
-  // lazily, when saved (mutable cache below). A warm start arrives
-  // packed: these spans bind into the mapping and the span walk decodes
-  // through posting_slice at query time. In packed mode postings_ is
-  // empty and posting_count_ carries the total.
-  mutable std::span<const codec::BlockMeta> blocks_;
-  mutable std::span<const std::byte> packed_;
-  mutable std::vector<codec::BlockMeta> blocks_storage_;
-  mutable std::vector<std::byte> packed_storage_;
-  mutable bool packed_cached_ = false;
+  // Bit-packed posting blocks (format v4, index/posting_codec.hpp): the
+  // only posting source. The build encodes them; a warm start binds them
+  // in the mapping. The span walk decodes through posting_slice, and
+  // posting_count_ carries the total.
+  std::span<const codec::BlockMeta> blocks_;
+  std::span<const std::byte> packed_;
+  std::vector<codec::BlockMeta> blocks_storage_;
+  std::vector<std::byte> packed_storage_;
 
   // Per-block bound metadata (v5). Computed at build; a mapped chunk
   // validates the on-disk records and binds the span in place.
@@ -379,7 +330,6 @@ class SlmIndex {
   std::span<const LocalPeptideId> order_;
   std::vector<LocalPeptideId> order_storage_;
   std::uint64_t posting_count_ = 0;
-  bool packed_mode_ = false;
 
   // Backs the no-arena convenience overload only (mutable: query is
   // logically const). Untouched by the arena-passing hot paths.

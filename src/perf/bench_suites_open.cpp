@@ -7,6 +7,7 @@
 // asserts byte-identical PSMs, and gates both the speedup (>= 1.3x) and a
 // nonzero pruned-block ratio; perf-smoke additionally gates the pruned
 // run's queries/sec against bench/baseline/BENCH_open.json.
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -67,9 +68,8 @@ struct OpenFixture {
               params.chunking) {}
 };
 
-// Sweep fixture: several chunks per index. Chunk boundaries are where the
-// score floor re-arms, so this keeps the score-threshold half of pruning
-// live even on the fully open window (where mass bounds exclude nothing).
+// Sweep fixture: several chunks per index, so the sweep exercises chunk
+// routing (a narrow window visits only the chunks its mass range meets).
 const OpenFixture& sweep_fixture() {
   static const OpenFixture fixture(open_workload(), open_params(16384));
   return fixture;
@@ -125,7 +125,7 @@ double pruned_ratio(std::uint64_t pruned, std::uint64_t walked) {
 
 // Window sweep: the same PTM workload searched narrow (misses every
 // shifted spectrum), wide (recovers them), and fully open (the paper's ΔM
-// = ∞ mode, where only the score-threshold half of pruning can fire).
+// = ∞ mode, where mass bounds exclude nothing and no block is pruned).
 void open_window_sweep(BenchContext& ctx) {
   using namespace lbe;
   Figure fig("open: window sweep",

@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 #include "common/error.hpp"
 
 namespace lbe::search {
-
-double filter_score(std::uint32_t shared_peaks, double matched_intensity) {
-  // Delegates to the index-layer definition so block-max pruning bounds
-  // the exact arithmetic the engine ranks with.
-  return index::candidate_filter_score(shared_peaks, matched_intensity);
-}
 
 bool psm_better(const Psm& a, const Psm& b) {
   if (a.score != b.score) return a.score > b.score;
@@ -25,12 +18,6 @@ QueryEngine::QueryEngine(const index::ChunkedIndex& index,
                          const SearchParams& params)
     : index_(&index), mods_(&mods), params_(params) {
   LBE_CHECK(params_.top_k >= 1, "top_k must be >= 1");
-  // Arm the score-threshold half of block-max pruning with the report
-  // depth: final PSMs are always the top_k best by *filter* score (the
-  // optional rescoring pass only reorders within that set), so a block
-  // whose score bound stays below the K-th final candidate cannot change
-  // psms.tsv.
-  params_.filter.prune_top_k = params_.filter.prune_blocks ? params_.top_k : 0;
 }
 
 QueryResult QueryEngine::search(const chem::Spectrum& raw,

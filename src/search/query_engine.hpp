@@ -40,10 +40,6 @@ struct Psm {
   float score = 0.0f;
 };
 
-/// The O(1) filtration score: monotone in shared peaks and in matched
-/// intensity, comparable across ranks and partitions.
-double filter_score(std::uint32_t shared_peaks, double matched_intensity);
-
 struct QueryResult {
   std::uint32_t query_id = 0;
   std::vector<Psm> top;           ///< best-first, <= top_k entries

@@ -2,12 +2,15 @@
 
 #include <cmath>
 
-#include "index/slm_index.hpp"
-
 namespace lbe::search {
 
 double log_factorial(std::uint32_t n) {
-  return index::log_gamma(static_cast<double>(n) + 1.0);
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
+}
+
+double filter_score(std::uint32_t shared_peaks, double matched_intensity) {
+  return log_factorial(shared_peaks) + std::log1p(matched_intensity);
 }
 
 ScoreBreakdown score_candidate(const chem::Spectrum& query,

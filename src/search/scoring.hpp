@@ -41,7 +41,14 @@ ScoreBreakdown score_candidate(const chem::Spectrum& query,
                                const chem::ModificationSet& mods,
                                const ScoreParams& params);
 
-/// ln(n!) via the thread-safe index::log_gamma; exposed for tests.
+/// The O(1) filtration score, ln(shared!) + ln(1 + matched intensity):
+/// monotone in shared peaks and in matched intensity, comparable across
+/// ranks and partitions.
+double filter_score(std::uint32_t shared_peaks, double matched_intensity);
+
+/// ln(n!) through glibc's reentrant lgamma_r: std::lgamma is the same
+/// routine but also stores the sign in the global `signgam`, a data race
+/// between the threads that score concurrently.
 double log_factorial(std::uint32_t n);
 
 }  // namespace lbe::search

@@ -141,7 +141,6 @@ void write_search_params(mpi::ByteWriter& writer, const SearchParams& params) {
   writer.pod(params.filter.fragment_tolerance);
   writer.pod(params.filter.shared_peak_min);
   writer.pod(params.filter.precursor_tolerance);
-  // prune_top_k travels implicitly: QueryEngine re-derives it from top_k.
   writer.pod(params.filter.prune_blocks);
   writer.pod(params.score.fragment_tolerance);
   write_fragment_params(writer, params.score.fragments);

@@ -1,7 +1,7 @@
 // Block-max pruning (format v5 bound metadata): bound construction, round
 // trips through a mapped rank file, corruption handling, and — the
 // property the whole feature rests on — exact candidate equivalence
-// between the pruned and unpruned walks, raw and packed, flat and chunked.
+// between the pruned and unpruned walks, built and mapped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "index/posting_codec.hpp"
 #include "index/slm_index.hpp"
 #include "synth/workload.hpp"
-#include "theospec/fragmenter.hpp"
 
 namespace lbe::index {
 namespace {
@@ -135,38 +134,34 @@ TEST_F(BlockPruningTest, BoundInvariantsOnDenseIndex) {
 // The core exactness property: with a finite precursor window, the pruned
 // walk must emit candidate-for-candidate (order and bits) what the
 // unpruned walk emits, while actually skipping blocks.
-TEST_F(BlockPruningTest, MassPruningIsExactOnRawAndPackedIndexes) {
+TEST_F(BlockPruningTest, MassPruningIsExact) {
   const auto store = workload_store();
-  SlmIndex index(store, mods_, params_);
+  const SlmIndex index(store, mods_, params_);
 
-  for (const bool packed : {false, true}) {
-    if (packed) index.compress_in_memory();
-    std::uint64_t total_pruned = 0;
-    for (const double window : {5.0, 100.0}) {
-      QueryParams pruned = query_;
-      pruned.precursor_tolerance = window;
-      QueryParams plain = pruned;
-      plain.prune_blocks = false;
+  std::uint64_t total_pruned = 0;
+  for (const double window : {5.0, 100.0}) {
+    QueryParams pruned = query_;
+    pruned.precursor_tolerance = window;
+    QueryParams plain = pruned;
+    plain.prune_blocks = false;
 
-      for (const auto& spectrum : workload().queries) {
-        std::vector<Candidate> out_pruned;
-        std::vector<Candidate> out_plain;
-        QueryWork work_pruned;
-        QueryWork work_plain;
-        index.query(spectrum, pruned, out_pruned, work_pruned);
-        index.query(spectrum, plain, out_plain, work_plain);
-        EXPECT_TRUE(same_candidates(out_pruned, out_plain))
-            << "packed=" << packed << " window=" << window;
-        EXPECT_EQ(work_plain.blocks_pruned, 0u);
-        EXPECT_EQ(work_plain.spans_pruned, 0u);
-        // Pruning only ever removes walked work.
-        EXPECT_LE(work_pruned.postings_touched, work_plain.postings_touched);
-        total_pruned += work_pruned.blocks_pruned;
-      }
+    for (const auto& spectrum : workload().queries) {
+      std::vector<Candidate> out_pruned;
+      std::vector<Candidate> out_plain;
+      QueryWork work_pruned;
+      QueryWork work_plain;
+      index.query(spectrum, pruned, out_pruned, work_pruned);
+      index.query(spectrum, plain, out_plain, work_plain);
+      EXPECT_TRUE(same_candidates(out_pruned, out_plain))
+          << "window=" << window;
+      EXPECT_EQ(work_plain.blocks_pruned, 0u);
+      EXPECT_EQ(work_plain.spans_pruned, 0u);
+      // Pruning only ever removes walked work.
+      EXPECT_LE(work_pruned.postings_touched, work_plain.postings_touched);
+      total_pruned += work_pruned.blocks_pruned;
     }
-    EXPECT_GT(total_pruned, 0u) << "packed=" << packed
-                                << ": mass pruning never fired (vacuous)";
   }
+  EXPECT_GT(total_pruned, 0u) << "mass pruning never fired (vacuous)";
 }
 
 // Candidate sets must also agree with the pre-batching reference walk —
@@ -200,87 +195,6 @@ TEST_F(BlockPruningTest, PrunedWalkMatchesReferenceOracle) {
   }
 }
 
-// The score-threshold half: once earlier (lighter) chunks have produced K
-// final candidates, later chunks' blocks whose score upper bound cannot
-// displace the K-th are skipped — even on a fully open window, where mass
-// bounds exclude nothing. Light glycine-rich peptides (many fragments,
-// strong self-match) fill chunk 1; heavy tryptophan 5-mers (few fragments
-// each, so a low block score bound) fill chunk 2.
-TEST_F(BlockPruningTest, ScoreFloorPrunesLaterChunks) {
-  std::vector<std::string> seqs;
-  const std::string strong = "GGGGGGGGGGGK";  // light, 22 postings
-  seqs.push_back(strong);
-  for (const char a : {'A', 'S', 'P', 'V', 'T', 'L', 'N', 'Q'}) {
-    seqs.push_back(std::string("GGGGGGGGGG") + a + "K");  // light fillers
-  }
-  std::vector<std::string> heavy;
-  for (const char a : {'A', 'S', 'P', 'V', 'T', 'L', 'N', 'Q', 'G', 'E'}) {
-    heavy.push_back(std::string("WWWW") + a + "K");  // ~1100+ Da, 10 postings
-  }
-  seqs.insert(seqs.end(), heavy.begin(), heavy.end());
-
-  ChunkingParams chunking;
-  chunking.max_chunk_entries = 9;  // all light peptides, then all heavy
-  const ChunkedIndex index(make_store(seqs), mods_, params_, chunking);
-  ASSERT_EQ(index.num_chunks(), 3u);
-  ASSERT_LT(index.chunk_mass_range(0).second,
-            index.chunk_mass_range(1).first);
-
-  // Query: the strong peptide's own spectrum, plus one fragment peak per
-  // heavy peptide so the span walk genuinely reaches chunk 2's postings
-  // instead of never touching them.
-  chem::Spectrum spectrum =
-      theospec::theoretical_spectrum(chem::Peptide(strong), mods_,
-                                     params_.fragments);
-  chem::Spectrum query;
-  for (std::size_t p = 0; p < spectrum.size(); ++p) {
-    query.add_peak(spectrum.mz(p), spectrum.intensity(p));
-  }
-  for (const auto& seq : heavy) {
-    const auto fragments = theospec::fragment_peptide(
-        chem::Peptide(seq), mods_, params_.fragments);
-    query.add_peak(fragments[fragments.size() / 2].mz, 1.0f);
-  }
-  query.precursor = spectrum.precursor;
-  query.finalize();
-
-  QueryParams pruned = query_;
-  pruned.precursor_tolerance = std::numeric_limits<double>::infinity();
-  pruned.prune_top_k = 1;
-  QueryParams plain = pruned;
-  plain.prune_blocks = false;
-
-  std::vector<Candidate> out_pruned;
-  std::vector<Candidate> out_plain;
-  QueryWork work_pruned;
-  QueryWork work_plain;
-  index.query(query, pruned, out_pruned, work_pruned);
-  index.query(query, plain, out_plain, work_plain);
-
-  // Score pruning's exactness contract is at the reported-top-K level: a
-  // pruned candidate list may drop (or under-count) peptides that provably
-  // cannot displace the K-th candidate, so compare the K = 1 winners, not
-  // the full lists.
-  const auto best = [](const std::vector<Candidate>& out) {
-    return *std::max_element(
-        out.begin(), out.end(), [](const Candidate& a, const Candidate& b) {
-          return candidate_filter_score(a.shared_peaks, a.matched_intensity) <
-                 candidate_filter_score(b.shared_peaks, b.matched_intensity);
-        });
-  };
-  ASSERT_FALSE(out_pruned.empty());
-  ASSERT_FALSE(out_plain.empty());
-  const Candidate top_pruned = best(out_pruned);
-  const Candidate top_plain = best(out_plain);
-  EXPECT_EQ(top_pruned.peptide, top_plain.peptide);
-  EXPECT_EQ(top_pruned.shared_peaks, top_plain.shared_peaks);
-  EXPECT_EQ(top_pruned.matched_intensity, top_plain.matched_intensity);
-  EXPECT_GT(work_pruned.blocks_pruned, 0u)
-      << "score floor never pruned a block (vacuous)";
-  EXPECT_EQ(work_plain.blocks_pruned, 0u);
-  EXPECT_LT(work_pruned.postings_touched, work_plain.postings_touched);
-}
-
 TEST_F(BlockPruningTest, SaveLoadRoundTripPreservesBounds) {
   const ChunkedIndex built(workload_store(), mods_, params_,
                            ChunkingParams{});
@@ -289,18 +203,25 @@ TEST_F(BlockPruningTest, SaveLoadRoundTripPreservesBounds) {
   const auto loaded = ChunkedIndex::map_file(path, mods_, params_);
   std::filesystem::remove(path);  // the mapping keeps the pages
 
-  // The mapped index prunes exactly like the built one.
-  QueryParams pruned = query_;
-  pruned.precursor_tolerance = 50.0;
-  for (const auto& spectrum : workload().queries) {
-    std::vector<Candidate> out_built;
-    std::vector<Candidate> out_loaded;
+  // Built and mapped indexes run the same decode walk over the same
+  // packed blocks, so they agree on every candidate and every work counter
+  // — open, narrow and wide.
+  for (const double window :
+       {std::numeric_limits<double>::infinity(), 5.0, 50.0}) {
+    QueryParams pruned = query_;
+    pruned.precursor_tolerance = window;
     QueryWork wb;
     QueryWork wl;
-    built.query(spectrum, pruned, out_built, wb);
-    loaded->query(spectrum, pruned, out_loaded, wl);
-    EXPECT_TRUE(same_candidates(out_built, out_loaded));
-    EXPECT_EQ(wb.blocks_pruned, wl.blocks_pruned);
+    for (const auto& spectrum : workload().queries) {
+      std::vector<Candidate> out_built;
+      std::vector<Candidate> out_loaded;
+      built.query(spectrum, pruned, out_built, wb);
+      loaded->query(spectrum, pruned, out_loaded, wl);
+      EXPECT_TRUE(same_candidates(out_built, out_loaded))
+          << "window=" << window;
+    }
+    EXPECT_EQ(wb, wl) << "window=" << window;
+    EXPECT_GT(wb.postings_touched, 0u) << "window=" << window;
   }
 
   // And its bounds survive bit for bit: re-saving the mapped index

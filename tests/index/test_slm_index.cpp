@@ -182,6 +182,21 @@ TEST_F(SlmIndexTest, MemoryBytesTracksPostings) {
   const SlmIndex small(small_store, mods_, params_);
   const SlmIndex big(big_store, mods_, params_);
   EXPECT_GT(big.memory_bytes(), small.memory_bytes());
+
+  // A built index holds exactly its five arrays, with no growth slack:
+  // bin offsets, the packed postings with their block directory, one
+  // bound per block and the mass order.
+  for (const SlmIndex* index : {&small, &big}) {
+    const std::uint64_t offsets =
+        (std::uint64_t{params_.binning().num_bins()} + 1) *
+        sizeof(std::uint32_t);
+    const std::uint64_t bounds =
+        index->block_bounds().size() * sizeof(BlockBound);
+    const std::uint64_t order =
+        index->ids_by_mass().size() * sizeof(LocalPeptideId);
+    EXPECT_EQ(index->memory_bytes(),
+              offsets + index->packed_posting_bytes() + bounds + order);
+  }
 }
 
 TEST_F(SlmIndexTest, BinOccupancySumsToPostings) {

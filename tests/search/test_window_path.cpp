@@ -2,8 +2,8 @@
 // order, then merge each in-window peptide's fragment bins against the
 // query's spans) must emit exactly the span walk's candidates — same
 // peptides, same shared-peak counts, bit-identical matched intensities —
-// for random non-integer intensities, every window width, raw, packed,
-// lazily mapped and fully materialized mapped indexes, chunk boundaries
+// for random non-integer intensities, every window width, built, lazily
+// mapped and fully materialized mapped indexes, chunk boundaries
 // through a run of equal masses, unfinalized spectra and ties at the top-K
 // cutoff. Plus the chooser that picks between the two paths.
 #include <gtest/gtest.h>
@@ -152,37 +152,33 @@ class WindowPathTest : public ::testing::Test {
   chem::Peptide duplicate_;
 };
 
-TEST_F(WindowPathTest, MatchesSpanWalkBitForBitRawAndPacked) {
+TEST_F(WindowPathTest, MatchesSpanWalkBitForBit) {
   const PeptideStore store = make_store();
   const auto queries = make_queries();
-  for (const bool packed : {false, true}) {
-    SlmIndex index(store, mods_, params_);
-    if (packed) index.compress_in_memory();
-    QueryArena arena;
-    std::size_t emitted = 0;
-    for (const double window : kWindows) {
-      for (const std::uint32_t min : kSharedPeakMins) {
-        const QueryParams q = filter(window, min);
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-          std::vector<Candidate> walk;
-          std::vector<Candidate> windowed;
-          QueryWork walk_work;
-          QueryWork window_work;
-          index.query(queries[i], q, walk, walk_work, arena);
-          index.query_window(queries[i], q, windowed, window_work, arena);
-          expect_identical(walk, windowed,
-                           std::string(packed ? "packed" : "raw") +
-                               " window " + std::to_string(window) +
-                               " min " + std::to_string(min) + " query " +
-                               std::to_string(i));
-          EXPECT_EQ(walk_work.candidates, window_work.candidates);
-          EXPECT_EQ(window_work.postings_touched, 0u);
-          emitted += windowed.size();
-        }
+  const SlmIndex index(store, mods_, params_);
+  QueryArena arena;
+  std::size_t emitted = 0;
+  for (const double window : kWindows) {
+    for (const std::uint32_t min : kSharedPeakMins) {
+      const QueryParams q = filter(window, min);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        std::vector<Candidate> walk;
+        std::vector<Candidate> windowed;
+        QueryWork walk_work;
+        QueryWork window_work;
+        index.query(queries[i], q, walk, walk_work, arena);
+        index.query_window(queries[i], q, windowed, window_work, arena);
+        expect_identical(walk, windowed,
+                         "window " + std::to_string(window) + " min " +
+                             std::to_string(min) + " query " +
+                             std::to_string(i));
+        EXPECT_EQ(walk_work.candidates, window_work.candidates);
+        EXPECT_EQ(window_work.postings_touched, 0u);
+        emitted += windowed.size();
       }
     }
-    EXPECT_GT(emitted, 0u);
   }
+  EXPECT_GT(emitted, 0u);
 }
 
 TEST_F(WindowPathTest, ChunkedChooserMatchesFlatWalkInEveryForm) {
